@@ -11,7 +11,6 @@ from .coset_enum import (
 )
 from .degrees import (
     CommutatorDistribution,
-    ExactRational,
     comm_degree,
     commutator_distribution,
     format_decimal,
@@ -28,7 +27,6 @@ from .groups import (
     GroupWord,
     SubgroupHandle,
     all_subgroups,
-    build_named,
     center,
     centralizer,
     commutator,

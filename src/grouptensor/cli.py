@@ -94,18 +94,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         max_cosets=args.max_cosets,
         max_order=args.max_order,
         n_values=tuple(range(1, args.n_max + 1)),
-        fmt=args.format,
         jobs=args.jobs,
-        out=args.out,
     )
     if args.corpus == "builtin":
         corpus = builtin_corpus(config.max_order)
     else:
         corpus = corpus_from_file(args.corpus, config.max_order)
     report = run_suite(corpus, args.theorems, config)
-    rendered = report.render(config.fmt)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
+    rendered = report.render(args.format)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(rendered)
     else:
         sys.stdout.write(rendered)

@@ -19,10 +19,6 @@ from .errors import LimitError
 from .groups import FiniteGroup, SubgroupHandle, commutator, iterated_commutator
 from .tensor import TensorSquareData
 
-# Exact rational values everywhere; the stdlib type already guarantees a
-# positive denominator, lowest terms, and exact total ordering.
-ExactRational = Fraction
-
 NAIVE_TUPLE_LIMIT = 10**7
 
 

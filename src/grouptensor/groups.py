@@ -56,9 +56,6 @@ class FiniteGroup:
     # identity is pinned to index 0
     identity = 0
 
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
     def power(self, a: int, k: int) -> int:
         if k < 0:
             return self.power(self.inv[a], -k)
@@ -375,33 +372,6 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     return FiniteGroup(mul, name=f"E{p}^{k}", generator_labels=labels)
 
 
-_FAMILIES = {
-    "cyclic": lambda param: cyclic(param),
-    "dihedral": lambda param: dihedral(param),
-    "quaternion": lambda param: quaternion(param),
-    "symmetric": lambda param: symmetric(param),
-    "alternating": lambda param: alternating(param),
-    "elementary": lambda param: elementary_abelian(*param),
-}
-
-
-def build_named(family: str, parameter, max_order: int = HARD_MAX_ORDER) -> FiniteGroup:
-    """Build a group from a named family; ``parameter`` follows the family's naming.
-
-    ``cyclic``/``dihedral``/``quaternion`` take the group order, ``symmetric``
-    and ``alternating`` the degree, and ``elementary`` a ``(p, k)`` pair.
-    """
-    builder = _FAMILIES.get(family)
-    if builder is None:
-        raise SpecError(f"unknown group family {family!r}")
-    group = builder(parameter)
-    if group.order > max_order:
-        raise SpecError(
-            f"{group.name} has order {group.order}, above the configured max {max_order}"
-        )
-    return group
-
-
 def direct_product(g: FiniteGroup, k: FiniteGroup, max_order: int = HARD_MAX_ORDER) -> FiniteGroup:
     """Direct product with component-wise multiplication; index = a * |K| + b.
 
@@ -572,15 +542,6 @@ def derived_subgroup(group: FiniteGroup) -> SubgroupHandle:
             group, full_subgroup(group), full_subgroup(group)
         )
     return cached
-
-
-def intersection(a: SubgroupHandle, b: SubgroupHandle) -> SubgroupHandle:
-    return SubgroupHandle(a.parent, a._set & b._set)
-
-
-def product_set(a: SubgroupHandle, b: SubgroupHandle) -> frozenset[int]:
-    mul = a.parent.mul
-    return frozenset(mul[x][y] for x in a.elements for y in b.elements)
 
 
 def quotient(

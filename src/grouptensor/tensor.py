@@ -30,7 +30,6 @@ from .groups import (
     center,
     derived_subgroup,
     iterated_commutator,
-    nilpotency_class,
     quotient,
     upper_central_series,
 )
@@ -40,15 +39,13 @@ from .groups import (
 class TensorSquareData:
     """Order of the tensor square plus the pair-triviality matrix.
 
-    ``element_of_pair[x][y]`` is the element index of ``x (x) y`` inside the
-    enumerated tensor-square group (its regular representation), and
-    ``trivial[x][y]`` is True exactly when that element is the identity.
+    ``trivial[x][y]`` is True exactly when ``x (x) y`` is the identity of the
+    enumerated tensor-square group.
     """
 
     parent: FiniteGroup
     order: int
     trivial: tuple[tuple[bool, ...], ...]
-    element_of_pair: tuple[tuple[int, ...], ...]
 
     def centralizer_size(self, x: int) -> int:
         return sum(self.trivial[x])
@@ -87,16 +84,10 @@ def tensor_square(
 
 def _from_table(group: FiniteGroup, table: CosetTable) -> TensorSquareData:
     n = group.order
-    element_of_pair = tuple(
-        tuple(generator_element(table, g * n + x) for x in range(n)) for g in range(n)
+    trivial = tuple(
+        tuple(generator_element(table, g * n + x) == 0 for x in range(n)) for g in range(n)
     )
-    trivial = tuple(tuple(e == 0 for e in row) for row in element_of_pair)
-    return TensorSquareData(
-        parent=group,
-        order=table.coset_count,
-        trivial=trivial,
-        element_of_pair=element_of_pair,
-    )
+    return TensorSquareData(parent=group, order=table.coset_count, trivial=trivial)
 
 
 def _validate(data: TensorSquareData) -> None:
@@ -158,14 +149,16 @@ def tensor_upper_central(
 
     Computed by pulling the classical (n-1)-th center of G / Z-tensor back
     through the projection.  For n <= 3 the direct definition (all tuples
-    ``[a, x1, ..., x(n-1)] (x) xn`` trivial) is evaluated as well and any
-    mismatch is a hard error.
+    ``[a, x1, ..., x(n-1)] (x) xn`` trivial) is evaluated as well, once per
+    group and n, and any mismatch is a hard error.
     """
     if n < 1:
         raise ValueError("series index must be >= 1")
     series = _pullback_series(group, data)
     term = series[n] if n < len(series) else series[-1]
-    if n <= 3:
+    # the series is cached on the group, so one cross-check per term suffices
+    checked = group._cache.setdefault("tensor_ucs_checked", set())
+    if n <= 3 and n not in checked:
         direct = _direct_tensor_central(group, data, n)
         if direct != term.elements:
             witness = sorted(set(direct) ^ set(term.elements))
@@ -173,6 +166,7 @@ def tensor_upper_central(
                 f"tensor central term {n} mismatch for {group.name}: "
                 f"pullback vs direct differ at elements {witness}"
             )
+        checked.add(n)
     return term
 
 
@@ -222,15 +216,6 @@ def tensor_class(group: FiniteGroup, data: TensorSquareData) -> Optional[int]:
         if term.order == group.order:
             return c
     return None
-
-
-def tensor_class_implies_nilpotent(group: FiniteGroup, data: TensorSquareData) -> bool:
-    """Tensor class c forces ordinary nilpotency of class at most c."""
-    c = tensor_class(group, data)
-    if c is None:
-        return True
-    nc = nilpotency_class(group)
-    return nc is not None and nc <= c
 
 
 def tensor_summary(group: FiniteGroup, data: TensorSquareData) -> dict:

@@ -18,7 +18,8 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from itertools import repeat
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .degrees import (
     format_decimal,
@@ -56,29 +57,6 @@ from .version import __version__
 
 DISCREPANCY_NOTE = "paper-example-discrepancy"
 
-# Checks that never touch the tensor square; they survive an enumeration
-# overflow of the entry's tensor square.
-TENSOR_FREE_IDS = frozenset({"thm-1.1", "sanity-erl", "sanity-lescot"})
-
-THEOREM_IDS = (
-    "thm-1.1",
-    "thm-1.2",
-    "thm-1.3",
-    "lem-2.1",
-    "thm-2.2",
-    "thm-2.3",
-    "thm-2.5",
-    "thm-2.6",
-    "lem-2.7",
-    "thm-2.8",
-    "thm-3cases",
-    "thm-quot",
-    "sanity-erl",
-    "sanity-lescot",
-)
-EXAMPLE_IDS = ("ex-3.1", "ex-3.2", "ex-3.3")
-ALL_CHECK_IDS = THEOREM_IDS + EXAMPLE_IDS
-
 
 @dataclass(frozen=True)
 class Config:
@@ -87,50 +65,32 @@ class Config:
     max_cosets: int = 1_000_000
     max_order: int = 16
     n_values: tuple[int, ...] = (1, 2, 3, 4)
-    fmt: str = "json"
     jobs: int = 1
-    out: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.max_cosets < 1 or self.max_order < 1 or self.jobs < 1:
             raise SpecError("config bounds must be positive")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise SpecError("n range must be positive")
-        if self.fmt not in ("json", "csv", "table"):
-            raise SpecError(f"unknown output format {self.fmt!r}")
 
     def echo(self) -> dict:
-        # jobs and the output path steer execution, not the computation, and
-        # reports must be byte-identical across worker counts
+        # jobs steers execution, not the computation, and reports must be
+        # byte-identical across worker counts; only the JSON report embeds
+        # this echo, hence its fixed format key
         return {
             "max_cosets": self.max_cosets,
             "max_order": self.max_order,
             "n_values": list(self.n_values),
-            "format": self.fmt,
+            "format": "json",
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorpusEntry:
-    """One corpus group; the tensor square is filled in lazily per process."""
+    """One corpus group and the spec it was built from."""
 
     spec: str
     group: FiniteGroup
-    tensor: Optional[TensorSquareData] = None
-    status: str = "pending"
-
-    def ensure_tensor(self, config: Optional["Config"] = None) -> Optional[TensorSquareData]:
-        """Populate the tensor field, recording an exceeded-limit marker instead
-        of raising when the enumeration overflows."""
-        if self.status == "pending":
-            max_cosets = (config or Config()).max_cosets
-            try:
-                self.tensor = tensor_square(self.group, max_cosets=max_cosets)
-                self.status = "ok"
-            except LimitError:
-                self.tensor = None
-                self.status = "exceeded-limit"
-        return self.tensor
 
 
 BUILTIN_SPECS = (
@@ -142,30 +102,23 @@ BUILTIN_SPECS = (
 )
 
 
+def _corpus(specs: Sequence[str], max_order: int) -> list[CorpusEntry]:
+    entries = [CorpusEntry(spec, group_from_spec(spec)) for spec in specs]
+    return [entry for entry in entries if entry.group.order <= max_order]
+
+
 def builtin_corpus(max_order: int) -> list[CorpusEntry]:
     """The fixed corpus, filtered to groups of order at most ``max_order``."""
     if max_order < 1:
         raise SpecError("max_order must be >= 1")
-    entries = []
-    for spec in BUILTIN_SPECS:
-        group = group_from_spec(spec)
-        if group.order <= max_order:
-            entries.append(CorpusEntry(spec=spec, group=group))
-    return entries
+    return _corpus(BUILTIN_SPECS, max_order)
 
 
 def corpus_from_file(path: str, max_order: int) -> list[CorpusEntry]:
     """One spec per line; '#' starts a comment."""
-    entries = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            group = group_from_spec(text)
-            if group.order <= max_order:
-                entries.append(CorpusEntry(spec=text, group=group))
-    return entries
+        specs = [line.split("#", 1)[0].strip() for line in handle]
+    return _corpus([spec for spec in specs if spec], max_order)
 
 
 @dataclass(frozen=True)
@@ -221,10 +174,6 @@ class TheoremCheck:
         return out
 
 
-def _compare(relation: str, lhs: Fraction, rhs: Fraction) -> bool:
-    return lhs <= rhs if relation == "le" else lhs == rhs
-
-
 # ---------------------------------------------------------------------------
 # Per-entry evaluation context
 # ---------------------------------------------------------------------------
@@ -237,7 +186,7 @@ class EntryContext:
         self.spec = spec
         self.group = group
         self.config = config
-        self._tensor: Optional[TensorSquareData] = None
+        self._tensor: TensorSquareData | LimitError | None = None
         self._degree_cache: dict[tuple[tuple[int, ...], int], Fraction] = {}
         self._plain_quotients: dict[tuple[int, ...], tuple] = {}
         self._tensor_quotients: dict[tuple[int, ...], tuple] = {}
@@ -248,9 +197,22 @@ class EntryContext:
 
     @property
     def tensor(self) -> TensorSquareData:
+        """The tensor square; an overflow is enumerated once and then re-raised."""
         if self._tensor is None:
-            self._tensor = tensor_square(self.group, max_cosets=self.config.max_cosets)
+            try:
+                self._tensor = tensor_square(self.group, max_cosets=self.config.max_cosets)
+            except LimitError as exc:
+                self._tensor = exc
+        if isinstance(self._tensor, LimitError):
+            raise self._tensor
         return self._tensor
+
+    def tensor_overflows(self) -> bool:
+        try:
+            self.tensor
+        except LimitError:
+            return True
+        return False
 
     @property
     def ztensor(self) -> SubgroupHandle:
@@ -274,9 +236,6 @@ class EntryContext:
     def dn_full(self, n: int) -> Fraction:
         return self.dn(self.full, n)
 
-    def d_tensor(self) -> Fraction:
-        return tensor_degree(self.group, self.tensor)
-
     # -- plain group artifacts ---------------------------------------------
 
     @property
@@ -293,9 +252,6 @@ class EntryContext:
 
     def handle(self, elems: Sequence[int]) -> SubgroupHandle:
         return SubgroupHandle(self.group, elems)
-
-    def d_comm(self, h: SubgroupHandle) -> Fraction:
-        return rel_comm_degree(self.group, h)
 
     def d_inner(self, h: SubgroupHandle) -> Fraction:
         """Commuting probability inside a subgroup, computed in the parent table."""
@@ -314,7 +270,7 @@ class EntryContext:
         return hit
 
     def plain_quotient(self, n_handle: SubgroupHandle):
-        """(Q, proj, image) without any tensor enumeration."""
+        """(Q, proj) without any tensor enumeration."""
         key = n_handle.elements
         hit = self._plain_quotients.get(key)
         if hit is None:
@@ -352,12 +308,11 @@ class EntryContext:
 
 
 # ---------------------------------------------------------------------------
-# Instance generation and evaluation, one pair of functions per check id
+# Instance generation and evaluation, one pair of functions per check id.
+# An evaluator returns only what varies: ``lhs``, ``rhs`` and, where they
+# apply, ``relation`` (default "le"), a computed ``variant``, ``witness`` and
+# ``note``; ``_evaluate`` builds the record.
 # ---------------------------------------------------------------------------
-
-
-def _frac(value: Fraction) -> str:
-    return format_fraction(value)
 
 
 def _gen_thm_1_1(ctx: EntryContext) -> list[dict]:
@@ -369,36 +324,26 @@ def _gen_thm_1_1(ctx: EntryContext) -> list[dict]:
     return out
 
 
-def _eval_thm_1_1(ctx: EntryContext, inst: dict) -> TheoremCheck:
+def _eval_thm_1_1(ctx: EntryContext, inst: dict) -> dict:
     h = ctx.handle(inst["subgroup"])
     n = ctx.handle(inst["normal"])
-    lhs = ctx.d_comm(h)
+    lhs = rel_comm_degree(ctx.group, h)
     q, proj = ctx.plain_quotient(n)
     hq = image_subgroup(h, proj, q)
     rhs = rel_comm_degree(q, hq) * ctx.d_inner(n)
     hg = ctx.hg_commutator(h)
     equality_case = len(n._set & hg._set) == 1
-    relation = "eq" if equality_case else "le"
-    holds = _compare(relation, lhs, rhs)
-    witness = None
-    if not holds:
-        witness = {
-            "lhs": _frac(lhs),
-            "rhs": _frac(rhs),
+    return {
+        "lhs": lhs,
+        "rhs": rhs,
+        "relation": "eq" if equality_case else "le",
+        "variant": "equality" if equality_case else "inequality",
+        "witness": {
+            "lhs": format_fraction(lhs),
+            "rhs": format_fraction(rhs),
             "equality_case": equality_case,
-        }
-    return TheoremCheck(
-        id="thm-1.1",
-        group=ctx.spec,
-        subgroup=h.elements,
-        normal=n.elements,
-        variant="equality" if equality_case else "inequality",
-        lhs=lhs,
-        rhs=rhs,
-        relation=relation,
-        holds=holds,
-        witness=witness,
-    )
+        },
+    }
 
 
 def _gen_thm_1_2(ctx: EntryContext) -> list[dict]:
@@ -407,12 +352,12 @@ def _gen_thm_1_2(ctx: EntryContext) -> list[dict]:
     return [{"variant": "lower"}, {"variant": "upper"}]
 
 
-def _eval_thm_1_2(ctx: EntryContext, inst: dict) -> TheoremCheck:
+def _eval_thm_1_2(ctx: EntryContext, inst: dict) -> dict:
     group = ctx.group
     p = smallest_prime_divisor(group.order)
     assert p is not None
-    d = ctx.d_comm(ctx.full)
-    dt = ctx.d_tensor()
+    d = rel_comm_degree(group, ctx.full)
+    dt = tensor_degree(group, ctx.tensor)
     j2 = j2_order(group, ctx.tensor)
     zt_order = ctx.ztensor.order
     z_order = center(group).order
@@ -422,27 +367,18 @@ def _eval_thm_1_2(ctx: EntryContext, inst: dict) -> TheoremCheck:
     else:
         lhs = dt
         rhs = d - Fraction((p - 1) * (z_order - zt_order), p * group.order)
-    holds = lhs <= rhs
-    witness = None
-    if not holds:
-        witness = {
-            "tensor_degree": _frac(dt),
-            "comm_degree": _frac(d),
+    return {
+        "lhs": lhs,
+        "rhs": rhs,
+        "witness": {
+            "tensor_degree": format_fraction(dt),
+            "comm_degree": format_fraction(d),
             "j2_order": j2,
             "center_order": z_order,
             "tensor_center_order": zt_order,
             "smallest_prime": p,
-        }
-    return TheoremCheck(
-        id="thm-1.2",
-        group=ctx.spec,
-        variant=inst["variant"],
-        lhs=lhs,
-        rhs=rhs,
-        relation="le",
-        holds=holds,
-        witness=witness,
-    )
+        },
+    }
 
 
 def _gen_thm_1_3(ctx: EntryContext) -> list[dict]:
@@ -451,22 +387,14 @@ def _gen_thm_1_3(ctx: EntryContext) -> list[dict]:
     return [{}]
 
 
-def _eval_thm_1_3(ctx: EntryContext, inst: dict) -> TheoremCheck:
+def _eval_thm_1_3(ctx: EntryContext, inst: dict) -> dict:
     p = smallest_prime_divisor(ctx.group.order)
     assert p is not None
-    lhs = ctx.d_tensor()
-    rhs = Fraction(1, p)
-    holds = lhs <= rhs
-    witness = {"smallest_prime": p} if not holds else None
-    return TheoremCheck(
-        id="thm-1.3",
-        group=ctx.spec,
-        lhs=lhs,
-        rhs=rhs,
-        relation="le",
-        holds=holds,
-        witness=witness,
-    )
+    return {
+        "lhs": tensor_degree(ctx.group, ctx.tensor),
+        "rhs": Fraction(1, p),
+        "witness": {"smallest_prime": p},
+    }
 
 
 def _gen_lem_2_1(ctx: EntryContext) -> list[dict]:
@@ -495,29 +423,22 @@ def _lem_2_1_ratios(ctx: EntryContext, h: SubgroupHandle) -> list[Fraction]:
     return ratios
 
 
-def _eval_lem_2_1(ctx: EntryContext, inst: dict) -> TheoremCheck:
+def _eval_lem_2_1(ctx: EntryContext, inst: dict) -> dict:
     h = ctx.handle(inst["subgroup"])
     ratios = _lem_2_1_ratios(ctx, h)
     one = Fraction(1)
     if inst["variant"] == "index-bound":
         worst = max(range(len(ratios)), key=lambda x: (ratios[x], -x))
-        lhs, relation = ratios[worst], "le"
+        relation = "le"
     else:
         worst = max(range(len(ratios)), key=lambda x: (abs(ratios[x] - one), -x))
-        lhs, relation = ratios[worst], "eq"
-    holds = _compare(relation, lhs, one)
-    witness = {"x": worst, "ratio": _frac(ratios[worst])} if not holds else None
-    return TheoremCheck(
-        id="lem-2.1",
-        group=ctx.spec,
-        subgroup=h.elements,
-        variant=inst["variant"],
-        lhs=lhs,
-        rhs=one,
-        relation=relation,
-        holds=holds,
-        witness=witness,
-    )
+        relation = "eq"
+    return {
+        "lhs": ratios[worst],
+        "rhs": one,
+        "relation": relation,
+        "witness": {"x": worst, "ratio": format_fraction(ratios[worst])},
+    }
 
 
 def _gen_per_subgroup_n(ctx: EntryContext) -> list[dict]:
@@ -528,84 +449,56 @@ def _gen_per_subgroup_n(ctx: EntryContext) -> list[dict]:
     ]
 
 
-def _eval_thm_2_2(ctx: EntryContext, inst: dict) -> TheoremCheck:
+def _eval_thm_2_2(ctx: EntryContext, inst: dict) -> dict:
     h = ctx.handle(inst["subgroup"])
     n = inst["n"]
-    lhs = ctx.dn(h, n)
     index = Fraction(ctx.group.order, h.order)
-    rhs = index ** (n + 1) * ctx.dn_full(n)
-    holds = lhs <= rhs
-    witness = {"index": _frac(index), "dn_full": _frac(ctx.dn_full(n))} if not holds else None
-    return TheoremCheck(
-        id="thm-2.2",
-        group=ctx.spec,
-        subgroup=h.elements,
-        n=n,
-        lhs=lhs,
-        rhs=rhs,
-        relation="le",
-        holds=holds,
-        witness=witness,
-    )
+    return {
+        "lhs": ctx.dn(h, n),
+        "rhs": index ** (n + 1) * ctx.dn_full(n),
+        "witness": {
+            "index": format_fraction(index),
+            "dn_full": format_fraction(ctx.dn_full(n)),
+        },
+    }
 
 
-def _eval_thm_2_3(ctx: EntryContext, inst: dict) -> TheoremCheck:
+def _eval_thm_2_3(ctx: EntryContext, inst: dict) -> dict:
     h = ctx.handle(inst["subgroup"])
     n = inst["n"]
     lhs = ctx.dn(h, n + 1)
     k, tk = ctx.k_quotient(h)
     inner = rel_n_tensor_degree(k, tk, full_subgroup(k), n)
-    rhs = Fraction(1, 2) * (1 + inner)
-    holds = lhs <= rhs
-    witness = None
-    if not holds:
-        witness = {
+    return {
+        "lhs": lhs,
+        "rhs": Fraction(1, 2) * (1 + inner),
+        "witness": {
             "k_order": k.order,
-            "k_degree": _frac(inner),
+            "k_degree": format_fraction(inner),
             "lhs_degree_index": n + 1,
-        }
-    return TheoremCheck(
-        id="thm-2.3",
-        group=ctx.spec,
-        subgroup=h.elements,
-        n=n,
-        lhs=lhs,
-        rhs=rhs,
-        relation="le",
-        holds=holds,
-        witness=witness,
-    )
+        },
+    }
 
 
 def _gen_per_n(ctx: EntryContext) -> list[dict]:
     return [{"n": n} for n in ctx.config.n_values]
 
 
-def _eval_thm_2_5(ctx: EntryContext, inst: dict) -> TheoremCheck:
+def _eval_thm_2_5(ctx: EntryContext, inst: dict) -> dict:
     n = inst["n"]
     lhs = ctx.dn_full(n + 1)
     zn = ctx.zn_tensor(n)
     q, _, tq = ctx.tensor_quotient(zn)
     inner = tensor_degree(q, tq)
-    rhs = Fraction(2**n - 1, 2**n) + inner / 2**n
-    holds = lhs <= rhs
-    witness = None
-    if not holds:
-        witness = {
+    return {
+        "lhs": lhs,
+        "rhs": Fraction(2**n - 1, 2**n) + inner / 2**n,
+        "witness": {
             "zn_order": zn.order,
-            "quotient_tensor_degree": _frac(inner),
+            "quotient_tensor_degree": format_fraction(inner),
             "lhs_degree_index": n + 1,
-        }
-    return TheoremCheck(
-        id="thm-2.5",
-        group=ctx.spec,
-        n=n,
-        lhs=lhs,
-        rhs=rhs,
-        relation="le",
-        holds=holds,
-        witness=witness,
-    )
+        },
+    }
 
 
 def _gen_thm_2_6(ctx: EntryContext) -> list[dict]:
@@ -613,23 +506,13 @@ def _gen_thm_2_6(ctx: EntryContext) -> list[dict]:
     return [{"n": n} for n in ctx.config.n_values if c is None or c > n]
 
 
-def _eval_thm_2_6(ctx: EntryContext, inst: dict) -> TheoremCheck:
+def _eval_thm_2_6(ctx: EntryContext, inst: dict) -> dict:
     n = inst["n"]
-    c = ctx.tclass
-    lhs = ctx.dn_full(n)
-    rhs = Fraction(2 ** (n + 2) - 3, 2 ** (n + 2))
-    holds = lhs <= rhs
-    witness = {"tensor_class": c} if not holds else None
-    return TheoremCheck(
-        id="thm-2.6",
-        group=ctx.spec,
-        n=n,
-        lhs=lhs,
-        rhs=rhs,
-        relation="le",
-        holds=holds,
-        witness=witness,
-    )
+    return {
+        "lhs": ctx.dn_full(n),
+        "rhs": Fraction(2 ** (n + 2) - 3, 2 ** (n + 2)),
+        "witness": {"tensor_class": ctx.tclass},
+    }
 
 
 def _gen_lem_2_7(ctx: EntryContext) -> list[dict]:
@@ -637,24 +520,14 @@ def _gen_lem_2_7(ctx: EntryContext) -> list[dict]:
     return [{"n": n} for n in ctx.config.n_values if c is not None and c <= n]
 
 
-def _eval_lem_2_7(ctx: EntryContext, inst: dict) -> TheoremCheck:
-    n = inst["n"]
-    c = ctx.tclass
+def _eval_lem_2_7(ctx: EntryContext, inst: dict) -> dict:
     nc = nilpotency_class(ctx.group)
-    holds = nc is not None and nc <= n
-    witness = None
-    if not holds:
-        witness = {"tensor_class": c, "nilpotency_class": nc}
-    return TheoremCheck(
-        id="lem-2.7",
-        group=ctx.spec,
-        n=n,
-        lhs=Fraction(nc) if nc is not None else None,
-        rhs=Fraction(n),
-        relation="le",
-        holds=holds,
-        witness=witness,
-    )
+    return {
+        # a group that is not nilpotent has no class: the lhs is None
+        "lhs": Fraction(nc) if nc is not None else None,
+        "rhs": Fraction(inst["n"]),
+        "witness": {"tensor_class": ctx.tclass, "nilpotency_class": nc},
+    }
 
 
 def _gen_thm_2_8(ctx: EntryContext) -> list[dict]:
@@ -663,33 +536,20 @@ def _gen_thm_2_8(ctx: EntryContext) -> list[dict]:
     return [{"n": n} for n in ctx.config.n_values]
 
 
-def _eval_thm_2_8(ctx: EntryContext, inst: dict) -> TheoremCheck:
+def _eval_thm_2_8(ctx: EntryContext, inst: dict) -> dict:
     n = inst["n"]
-    lhs = ctx.dn_full(n)
-    rhs = Fraction(2**n - 1, 2**n)
-    holds = lhs <= rhs
-    return TheoremCheck(
-        id="thm-2.8",
-        group=ctx.spec,
-        n=n,
-        lhs=lhs,
-        rhs=rhs,
-        relation="le",
-        holds=holds,
-        witness=None if holds else {"center_order": 1},
-    )
+    return {
+        "lhs": ctx.dn_full(n),
+        "rhs": Fraction(2**n - 1, 2**n),
+        "witness": {"center_order": 1},
+    }
 
 
 def _gen_thm_3cases(ctx: EntryContext) -> list[dict]:
-    return [
-        {"subgroup": h.elements, "n": n}
-        for h in ctx.subgroups
-        if h.order < ctx.group.order
-        for n in ctx.config.n_values
-    ]
+    return [inst for inst in _gen_per_subgroup_n(ctx) if len(inst["subgroup"]) < ctx.group.order]
 
 
-def _eval_thm_3cases(ctx: EntryContext, inst: dict) -> TheoremCheck:
+def _eval_thm_3cases(ctx: EntryContext, inst: dict) -> dict:
     h = ctx.handle(inst["subgroup"])
     n = inst["n"]
     lhs = ctx.dn(h, n)
@@ -708,92 +568,46 @@ def _eval_thm_3cases(ctx: EntryContext, inst: dict) -> TheoremCheck:
         else:
             variant = "case-iii"
             rhs, relation = Fraction(2 ** (n + 2) - 3, 2 ** (n + 2)), "le"
-    holds = _compare(relation, lhs, rhs)
-    witness = None
-    if not holds:
-        witness = {"case": variant, **witness_extra}
-    return TheoremCheck(
-        id="thm-3cases",
-        group=ctx.spec,
-        subgroup=h.elements,
-        n=n,
-        variant=variant,
-        lhs=lhs,
-        rhs=rhs,
-        relation=relation,
-        holds=holds,
-        witness=witness,
-    )
+    return {
+        "lhs": lhs,
+        "rhs": rhs,
+        "relation": relation,
+        "variant": variant,
+        "witness": {"case": variant, **witness_extra},
+    }
 
 
 def _gen_thm_quot(ctx: EntryContext) -> list[dict]:
-    out = []
-    for h in ctx.subgroups:
-        for nh in ctx.normals:
-            if nh <= h:
-                for n in ctx.config.n_values:
-                    out.append(
-                        {"subgroup": h.elements, "normal": nh.elements, "n": n}
-                    )
-    return out
+    return [{**inst, "n": n} for inst in _gen_thm_1_1(ctx) for n in ctx.config.n_values]
 
 
-def _eval_thm_quot(ctx: EntryContext, inst: dict) -> TheoremCheck:
+def _eval_thm_quot(ctx: EntryContext, inst: dict) -> dict:
     h = ctx.handle(inst["subgroup"])
     nh = ctx.handle(inst["normal"])
     n = inst["n"]
-    lhs = ctx.dn(h, n)
     q, proj, tq = ctx.tensor_quotient(nh)
     hq = image_subgroup(h, proj, q)
-    rhs = rel_n_tensor_degree(q, tq, hq, n)
-    holds = lhs <= rhs
-    witness = {"quotient_order": q.order} if not holds else None
-    return TheoremCheck(
-        id="thm-quot",
-        group=ctx.spec,
-        subgroup=h.elements,
-        normal=nh.elements,
-        n=n,
-        lhs=lhs,
-        rhs=rhs,
-        relation="le",
-        holds=holds,
-        witness=witness,
-    )
+    return {
+        "lhs": ctx.dn(h, n),
+        "rhs": rel_n_tensor_degree(q, tq, hq, n),
+        "witness": {"quotient_order": q.order},
+    }
 
 
 def _gen_sanity_erl(ctx: EntryContext) -> list[dict]:
     return [] if ctx.group.is_abelian() else [{}]
 
 
-def _eval_sanity_erl(ctx: EntryContext, inst: dict) -> TheoremCheck:
-    lhs = ctx.d_comm(ctx.full)
-    rhs = Fraction(5, 8)
-    return TheoremCheck(
-        id="sanity-erl",
-        group=ctx.spec,
-        lhs=lhs,
-        rhs=rhs,
-        relation="le",
-        holds=lhs <= rhs,
-    )
+def _eval_sanity_erl(ctx: EntryContext, inst: dict) -> dict:
+    return {"lhs": rel_comm_degree(ctx.group, ctx.full), "rhs": Fraction(5, 8)}
 
 
 def _gen_sanity_lescot(ctx: EntryContext) -> list[dict]:
     return [] if nilpotency_class(ctx.group) is not None else [{}]
 
 
-def _eval_sanity_lescot(ctx: EntryContext, inst: dict) -> TheoremCheck:
-    lhs = ctx.d_comm(ctx.full)
-    rhs = Fraction(1, 2)
-    return TheoremCheck(
-        id="sanity-lescot",
-        group=ctx.spec,
-        lhs=lhs,
-        rhs=rhs,
-        relation="le",
-        holds=lhs <= rhs,
-    )
+def _eval_sanity_lescot(ctx: EntryContext, inst: dict) -> dict:
+    return {"lhs": rel_comm_degree(ctx.group, ctx.full), "rhs": Fraction(1, 2)}
 
 
 def _gen_ex_3_1(ctx: EntryContext) -> list[dict]:
@@ -804,32 +618,11 @@ def _gen_ex_3_1(ctx: EntryContext) -> list[dict]:
     return out
 
 
-def _eval_ex_3_1(ctx: EntryContext, inst: dict) -> TheoremCheck:
+def _eval_ex_3_1(ctx: EntryContext, inst: dict) -> dict:
     if inst["variant"] == "tensor-center-trivial":
-        lhs = Fraction(ctx.ztensor.order)
-        rhs = Fraction(1)
-        return TheoremCheck(
-            id="ex-3.1",
-            group=ctx.spec,
-            variant=inst["variant"],
-            lhs=lhs,
-            rhs=rhs,
-            relation="eq",
-            holds=lhs == rhs,
-        )
+        return {"lhs": Fraction(ctx.ztensor.order), "rhs": Fraction(1), "relation": "eq"}
     n = inst["n"]
-    lhs = ctx.dn_full(n)
-    rhs = Fraction(2**n - 1, 2**n)
-    return TheoremCheck(
-        id="ex-3.1",
-        group=ctx.spec,
-        n=n,
-        variant=inst["variant"],
-        lhs=lhs,
-        rhs=rhs,
-        relation="le",
-        holds=lhs <= rhs,
-    )
+    return {"lhs": ctx.dn_full(n), "rhs": Fraction(2**n - 1, 2**n)}
 
 
 def _gen_ex_3_2(ctx: EntryContext) -> list[dict]:
@@ -839,20 +632,9 @@ def _gen_ex_3_2(ctx: EntryContext) -> list[dict]:
     return [{"subgroup": h.elements, "n": 2}]
 
 
-def _eval_ex_3_2(ctx: EntryContext, inst: dict) -> TheoremCheck:
+def _eval_ex_3_2(ctx: EntryContext, inst: dict) -> dict:
     h = ctx.handle(inst["subgroup"])
-    lhs = ctx.dn(h, inst["n"])
-    rhs = Fraction(1)
-    return TheoremCheck(
-        id="ex-3.2",
-        group=ctx.spec,
-        subgroup=h.elements,
-        n=inst["n"],
-        lhs=lhs,
-        rhs=rhs,
-        relation="eq",
-        holds=lhs == rhs,
-    )
+    return {"lhs": ctx.dn(h, inst["n"]), "rhs": Fraction(1), "relation": "eq"}
 
 
 EX_3_3_REFERENCE = Fraction(192, 2048)
@@ -865,17 +647,16 @@ def _gen_ex_3_3(ctx: EntryContext) -> list[dict]:
     return [{"subgroup": h.elements, "n": 4}]
 
 
-def _eval_ex_3_3(ctx: EntryContext, inst: dict) -> TheoremCheck:
+def _eval_ex_3_3(ctx: EntryContext, inst: dict) -> dict:
     h = ctx.handle(inst["subgroup"])
     lhs = ctx.dn(h, inst["n"])
-    rhs = EX_3_3_REFERENCE
-    holds = lhs == rhs
-    note = None
-    witness = None
-    if not holds:
-        note = DISCREPANCY_NOTE
-        witness = {
-            "computed": _frac(lhs),
+    return {
+        "lhs": lhs,
+        "rhs": EX_3_3_REFERENCE,
+        "relation": "eq",
+        "note": DISCREPANCY_NOTE,
+        "witness": {
+            "computed": format_fraction(lhs),
             "reference": "192/2048",
             "explanation": (
                 "the subgroup <a^2, a*b> is abelian, so every length-4 "
@@ -883,79 +664,74 @@ def _eval_ex_3_3(ctx: EntryContext, inst: dict) -> TheoremCheck:
                 "trivially with every element; the definition forces the "
                 "value 1"
             ),
-        }
+        },
+    }
+
+
+class Check(NamedTuple):
+    """One registry record: a check's instances, their evaluation, and whether
+    the check reads the tensor square (those that do not survive its overflow)."""
+
+    generate: Callable[[EntryContext], list[dict]]
+    evaluate: Callable[[EntryContext, dict], dict]
+    needs_tensor: bool = True
+
+
+CHECKS: dict[str, Check] = {
+    "thm-1.1": Check(_gen_thm_1_1, _eval_thm_1_1, needs_tensor=False),
+    "thm-1.2": Check(_gen_thm_1_2, _eval_thm_1_2),
+    "thm-1.3": Check(_gen_thm_1_3, _eval_thm_1_3),
+    "lem-2.1": Check(_gen_lem_2_1, _eval_lem_2_1),
+    "thm-2.2": Check(_gen_per_subgroup_n, _eval_thm_2_2),
+    "thm-2.3": Check(_gen_per_subgroup_n, _eval_thm_2_3),
+    "thm-2.5": Check(_gen_per_n, _eval_thm_2_5),
+    "thm-2.6": Check(_gen_thm_2_6, _eval_thm_2_6),
+    "lem-2.7": Check(_gen_lem_2_7, _eval_lem_2_7),
+    "thm-2.8": Check(_gen_thm_2_8, _eval_thm_2_8),
+    "thm-3cases": Check(_gen_thm_3cases, _eval_thm_3cases),
+    "thm-quot": Check(_gen_thm_quot, _eval_thm_quot),
+    "sanity-erl": Check(_gen_sanity_erl, _eval_sanity_erl, needs_tensor=False),
+    "sanity-lescot": Check(_gen_sanity_lescot, _eval_sanity_lescot, needs_tensor=False),
+    "ex-3.1": Check(_gen_ex_3_1, _eval_ex_3_1),
+    "ex-3.2": Check(_gen_ex_3_2, _eval_ex_3_2),
+    "ex-3.3": Check(_gen_ex_3_3, _eval_ex_3_3),
+}
+ALL_CHECK_IDS = tuple(CHECKS)
+THEOREM_IDS = tuple(check_id for check_id in CHECKS if not check_id.startswith("ex-"))
+
+
+def _evaluate(ctx: EntryContext, check_id: str, inst: dict) -> TheoremCheck:
+    """The record of one instance: evaluated, or skipped when a limit is hit.
+
+    An empty instance of a check that needs an overflowing tensor square
+    yields the one skipped record for the whole check.
+    """
+    check = CHECKS[check_id]
+    where = {
+        "id": check_id,
+        "group": ctx.spec,
+        "subgroup": inst.get("subgroup"),
+        "normal": inst.get("normal"),
+        "n": inst.get("n"),
+    }
+    try:
+        if check.needs_tensor:
+            ctx.tensor  # re-raises an overflow before the evaluator reads inst
+        found = check.evaluate(ctx, inst)
+    except LimitError as exc:
+        return TheoremCheck(**where, skipped=True, note=f"exceeded-limit: {exc}")
+    lhs, rhs = found["lhs"], found["rhs"]
+    relation = found.get("relation", "le")
+    holds = lhs is not None and (lhs <= rhs if relation == "le" else lhs == rhs)
     return TheoremCheck(
-        id="ex-3.3",
-        group=ctx.spec,
-        subgroup=h.elements,
-        n=inst["n"],
+        **where,
+        variant=found.get("variant", inst.get("variant")),
         lhs=lhs,
         rhs=rhs,
-        relation="eq",
+        relation=relation,
         holds=holds,
-        note=note,
-        witness=witness,
-    )
-
-
-_GENERATORS: dict[str, Callable[[EntryContext], list[dict]]] = {
-    "thm-1.1": _gen_thm_1_1,
-    "thm-1.2": _gen_thm_1_2,
-    "thm-1.3": _gen_thm_1_3,
-    "lem-2.1": _gen_lem_2_1,
-    "thm-2.2": _gen_per_subgroup_n,
-    "thm-2.3": _gen_per_subgroup_n,
-    "thm-2.5": _gen_per_n,
-    "thm-2.6": _gen_thm_2_6,
-    "lem-2.7": _gen_lem_2_7,
-    "thm-2.8": _gen_thm_2_8,
-    "thm-3cases": _gen_thm_3cases,
-    "thm-quot": _gen_thm_quot,
-    "sanity-erl": _gen_sanity_erl,
-    "sanity-lescot": _gen_sanity_lescot,
-    "ex-3.1": _gen_ex_3_1,
-    "ex-3.2": _gen_ex_3_2,
-    "ex-3.3": _gen_ex_3_3,
-}
-
-_EVALUATORS: dict[str, Callable[[EntryContext, dict], TheoremCheck]] = {
-    "thm-1.1": _eval_thm_1_1,
-    "thm-1.2": _eval_thm_1_2,
-    "thm-1.3": _eval_thm_1_3,
-    "lem-2.1": _eval_lem_2_1,
-    "thm-2.2": _eval_thm_2_2,
-    "thm-2.3": _eval_thm_2_3,
-    "thm-2.5": _eval_thm_2_5,
-    "thm-2.6": _eval_thm_2_6,
-    "lem-2.7": _eval_lem_2_7,
-    "thm-2.8": _eval_thm_2_8,
-    "thm-3cases": _eval_thm_3cases,
-    "thm-quot": _eval_thm_quot,
-    "sanity-erl": _eval_sanity_erl,
-    "sanity-lescot": _eval_sanity_lescot,
-    "ex-3.1": _eval_ex_3_1,
-    "ex-3.2": _eval_ex_3_2,
-    "ex-3.3": _eval_ex_3_3,
-}
-
-
-def _skipped(
-    check_id: str,
-    spec: str,
-    subgroup: Optional[tuple[int, ...]] = None,
-    normal: Optional[tuple[int, ...]] = None,
-    n: Optional[int] = None,
-    reason: str = "",
-) -> TheoremCheck:
-    return TheoremCheck(
-        id=check_id,
-        group=spec,
-        subgroup=subgroup,
-        normal=normal,
-        n=n,
-        holds=None,
-        skipped=True,
-        note=reason or None,
+        note=None if holds else found.get("note"),
+        witness=None if holds else found.get("witness"),
     )
 
 
@@ -967,40 +743,32 @@ def check_theorem(
     ``instance`` carries at least ``group`` (a spec string) plus whatever the
     check consumes: ``subgroup`` and ``normal`` as element-index sequences,
     ``n``, ``variant``.  An instance whose hypotheses fail yields a skipped
-    record, not a failure.
+    record, not a failure; so does one whose tensor square overflows.
     """
-    if check_id not in _EVALUATORS:
+    if check_id not in CHECKS:
         raise SpecError(f"unknown check id {check_id!r}")
-    config = config or Config()
+    check = CHECKS[check_id]
     spec = instance["group"]
-    group = group_from_spec(spec)
-    ctx = EntryContext(spec, group, config)
+    ctx = EntryContext(spec, group_from_spec(spec), config or Config())
     inst = {
         key: (tuple(value) if key in ("subgroup", "normal") else value)
         for key, value in instance.items()
         if key != "group"
     }
-    matched = _match_instance(inst, _GENERATORS[check_id](ctx))
+    if check.needs_tensor and ctx.tensor_overflows():
+        return _evaluate(ctx, check_id, inst)
+    matched = _match_instance(inst, check.generate(ctx))
     if matched is None:
-        return _skipped(
-            check_id,
-            spec,
+        return TheoremCheck(
+            id=check_id,
+            group=spec,
             subgroup=inst.get("subgroup"),
             normal=inst.get("normal"),
             n=inst.get("n"),
-            reason="hypothesis-not-met",
+            skipped=True,
+            note="hypothesis-not-met",
         )
-    try:
-        return _EVALUATORS[check_id](ctx, matched)
-    except LimitError as exc:
-        return _skipped(
-            check_id,
-            spec,
-            subgroup=inst.get("subgroup"),
-            normal=inst.get("normal"),
-            n=inst.get("n"),
-            reason=f"exceeded-limit: {exc}",
-        )
+    return _evaluate(ctx, check_id, matched)
 
 
 def _match_instance(inst: dict, applicable: list[dict]) -> Optional[dict]:
@@ -1010,48 +778,27 @@ def _match_instance(inst: dict, applicable: list[dict]) -> Optional[dict]:
     reading from the instance) may be present in ``inst``; it is ignored when
     the generated instance does not carry one.
     """
-    keys = ("subgroup", "normal", "n", "variant")
-    probe = {k: inst.get(k) for k in keys if inst.get(k) is not None}
     for cand in applicable:
-        cnorm = {k: v for k, v in cand.items() if v is not None}
-        if any(probe.get(k) != v for k, v in cnorm.items()):
-            continue
-        if set(probe) - set(cnorm) - {"variant"}:
-            continue
-        return cand
+        if all(inst.get(k) == cand.get(k) for k in ("subgroup", "normal", "n")) and (
+            cand.get("variant") in (None, inst.get("variant"))
+        ):
+            return cand
     return None
 
 
-def evaluate_entry(spec: str, check_ids: Sequence[str], config: Config) -> list[TheoremCheck]:
+def evaluate_entry(
+    entry: CorpusEntry, check_ids: Sequence[str], config: Config
+) -> list[TheoremCheck]:
     """All checks for one corpus entry; the unit of parallel work."""
-    group = group_from_spec(spec)
-    ctx = EntryContext(spec, group, config)
-    tensor_failed: Optional[str] = None
-    try:
-        ctx.tensor
-    except LimitError as exc:
-        tensor_failed = str(exc)
+    ctx = EntryContext(entry.spec, entry.group, config)
     checks: list[TheoremCheck] = []
     for check_id in check_ids:
-        if tensor_failed is not None and check_id not in TENSOR_FREE_IDS:
-            checks.append(
-                _skipped(check_id, spec, reason=f"exceeded-limit: {tensor_failed}")
-            )
-            continue
-        for inst in _GENERATORS[check_id](ctx):
-            try:
-                checks.append(_EVALUATORS[check_id](ctx, inst))
-            except LimitError as exc:
-                checks.append(
-                    _skipped(
-                        check_id,
-                        spec,
-                        subgroup=inst.get("subgroup"),
-                        normal=inst.get("normal"),
-                        n=inst.get("n"),
-                        reason=f"exceeded-limit: {exc}",
-                    )
-                )
+        check = CHECKS[check_id]
+        if check.needs_tensor and ctx.tensor_overflows():
+            instances = [{}]
+        else:
+            instances = check.generate(ctx)
+        checks.extend(_evaluate(ctx, check_id, inst) for inst in instances)
     return checks
 
 
@@ -1184,12 +931,11 @@ def run_suite(
     """
     config = config or Config()
     ids = normalize_check_ids(check_ids)
-    specs = [entry.spec for entry in corpus]
-    if config.jobs > 1 and len(specs) > 1:
+    if config.jobs > 1 and len(corpus) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            batches = list(pool.map(_worker, [(spec, ids, config) for spec in specs]))
+            batches = list(pool.map(evaluate_entry, corpus, repeat(ids), repeat(config)))
     else:
-        batches = [evaluate_entry(spec, ids, config) for spec in specs]
+        batches = [evaluate_entry(entry, ids, config) for entry in corpus]
     checks = [check for batch in batches for check in batch]
     checks.sort(key=TheoremCheck.sort_key)
     return VerificationReport(
@@ -1198,8 +944,3 @@ def run_suite(
         checks=checks,
         summary=summarize(checks),
     )
-
-
-def _worker(args: tuple) -> list[TheoremCheck]:
-    spec, ids, config = args
-    return evaluate_entry(spec, ids, config)

@@ -9,6 +9,7 @@ documents that loudly and flips to a hard failure if the violations ever
 disappear.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -95,6 +96,10 @@ def test_criterion_2_d8_example_discrepancy(capsys):
         assert dp == naive
         assert dp == Fraction(1)
         report = run_suite(builtin_corpus(16), "all", Config())
+        # the default report, byte for byte
+        digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+        assert digest == "42e0684b5c76c0c6957ea251ca33e8bf48c934afc7b7f9044e4c343bec2a7fa8"
+        assert report.summary == {"pass": 4037, "fail": 274, "skipped": 0, "flagged": 1}
         flagged = [c for c in report.checks if c.note is not None and not c.skipped]
         assert len(flagged) == 1
         record = flagged[0]

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from grouptensor import (
     SpecError,
     all_subgroups,
-    build_named,
     center,
     centralizer,
     commutator,
@@ -39,25 +38,25 @@ SMALL_SPECS = [
 
 
 def test_build_named_families():
-    assert build_named("cyclic", 1).order == 1
-    assert build_named("dihedral", 8).order == 8
-    assert build_named("symmetric", 3).order == 6
-    assert build_named("alternating", 5).order == 60
-    assert build_named("quaternion", 16).order == 16
-    assert build_named("elementary", (3, 2)).order == 9
+    assert group_from_spec("C1").order == 1
+    assert group_from_spec("D8").order == 8
+    assert group_from_spec("S3").order == 6
+    assert group_from_spec("A5").order == 60
+    assert group_from_spec("Q16").order == 16
+    assert group_from_spec("E3^2").order == 9
 
 
 def test_build_named_rejects_bad_input():
     with pytest.raises(SpecError):
-        build_named("frobnicate", 3)
+        group_from_spec("F3")
     with pytest.raises(SpecError):
-        build_named("dihedral", 9)
+        group_from_spec("D9")
     with pytest.raises(SpecError):
-        build_named("quaternion", 12)
+        group_from_spec("Q12")
     with pytest.raises(SpecError):
-        build_named("symmetric", 6)
+        group_from_spec("S6")
     with pytest.raises(SpecError):
-        build_named("symmetric", 5, max_order=64)
+        group_from_spec("S5", max_order=64)
 
 
 def test_dihedral_relation_holds():
@@ -137,7 +136,7 @@ def test_all_subgroups_counts():
     assert len(normal_subgroups(s3)) == 3
     assert len(all_subgroups(cyclic(6))) == 4
     with pytest.raises(SpecError):
-        all_subgroups(build_named("alternating", 5), max_order=32)
+        all_subgroups(group_from_spec("A5"), max_order=32)
 
 
 def test_all_subgroups_structure():
@@ -204,7 +203,7 @@ def test_upper_central_series_and_class():
     assert nilpotency_class(symmetric(3)) is None
     assert nilpotency_class(cyclic(5)) == 1
     assert nilpotency_class(cyclic(1)) == 0
-    assert nilpotency_class(build_named("quaternion", 16)) == 3
+    assert nilpotency_class(group_from_spec("Q16")) == 3
 
 
 def test_relabeled_preserves_structure():

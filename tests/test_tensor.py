@@ -13,7 +13,9 @@ from grouptensor import (
     tensor_square,
     tensor_upper_central,
 )
-from grouptensor.errors import LimitError
+from grouptensor import tensor as tensor_module
+from grouptensor.errors import ConsistencyError, LimitError
+from grouptensor.specs import group_from_spec
 
 CORPUS_12 = [
     "C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10", "C11", "C12",
@@ -121,6 +123,27 @@ def test_tensor_upper_central_series(groups, tensors):
             if prev is not None:
                 assert set(prev.elements) <= set(term.elements), spec
             prev = term
+
+
+def test_tensor_upper_central_cross_check_once_per_group_and_n(monkeypatch):
+    direct = tensor_module._direct_tensor_central
+    calls = []
+
+    def counted(group, data, n):
+        calls.append(n)
+        return direct(group, data, n)
+
+    monkeypatch.setattr(tensor_module, "_direct_tensor_central", counted)
+    d8 = group_from_spec("D8")
+    data = tensor_square(d8)
+    for _ in range(2):
+        for n in (1, 2, 3, 4):
+            tensor_upper_central(d8, data, n)
+    assert calls == [1, 2, 3]
+    # a mismatch on a group not yet checked is still a hard error
+    monkeypatch.setattr(tensor_module, "_direct_tensor_central", lambda group, data, n: ())
+    with pytest.raises(ConsistencyError):
+        tensor_upper_central(group_from_spec("D8"), data, 1)
 
 
 def test_tensor_class_values(groups, tensors):

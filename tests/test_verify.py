@@ -18,6 +18,7 @@ from grouptensor.verify import (
     DISCREPANCY_NOTE,
     THEOREM_IDS,
     corpus_from_file,
+    evaluate_entry,
     normalize_check_ids,
     summarize,
 )
@@ -49,12 +50,37 @@ def test_corpus_entries_reparse(tmp_path):
 
 
 def test_corpus_entry_limit_marker():
-    entry = [e for e in builtin_corpus(8) if e.spec == "Q8"][0]
-    assert entry.ensure_tensor(Config(max_cosets=4)) is None
-    assert entry.status == "exceeded-limit"
-    fresh = [e for e in builtin_corpus(8) if e.spec == "Q8"][0]
-    assert fresh.ensure_tensor() is not None
-    assert fresh.status == "ok" and fresh.tensor.order == 64
+    # an overflowing tensor square leaves one skipped record per check that
+    # needs it; the tensor-free checks are still evaluated (sanity-lescot only
+    # applies to groups that are not nilpotent, hence S3 next to Q8)
+    tensor_free = {"thm-1.1", "sanity-erl", "sanity-lescot"}
+    corpus = {e.spec: e for e in builtin_corpus(8)}
+    evaluated = set()
+    for spec in ("Q8", "S3"):
+        checks = evaluate_entry(corpus[spec], ALL_CHECK_IDS, Config(max_cosets=4))
+        skipped = [c for c in checks if c.skipped]
+        assert sorted(c.id for c in skipped) == sorted(set(ALL_CHECK_IDS) - tensor_free)
+        for c in skipped:
+            assert c.note.startswith("exceeded-limit")
+            assert (c.subgroup, c.normal, c.n) == (None, None, None)
+        assert all(c.holds is not None for c in checks if not c.skipped)
+        evaluated |= {c.id for c in checks if not c.skipped}
+    assert evaluated == tensor_free
+    # under the default limit the same entry enumerates
+    assert tensor_square(corpus["Q8"].group).order == 64
+
+
+def test_check_theorem_tensor_overflow_is_skipped():
+    config = Config(max_cosets=4)
+    for check_id, instance in [
+        ("thm-1.3", {"group": "S3"}),
+        ("thm-2.6", {"group": "S3", "n": 1}),
+        ("thm-2.2", {"group": "S3", "subgroup": [0, 1], "n": 1}),
+    ]:
+        check = check_theorem(check_id, instance, config)
+        assert check.skipped and check.holds is None, check_id
+        assert check.note.startswith("exceeded-limit"), check_id
+        assert check.n == instance.get("n"), check_id
 
 
 def test_normalize_check_ids():
