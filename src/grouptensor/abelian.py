@@ -1,12 +1,13 @@
-"""Structure of finite abelian groups and a bilinear tensor-square oracle.
+"""Structure of finite abelian groups and their integral tensor products.
 
-For an abelian group the tensor square reduces to the integral tensor
-product of the underlying abelian group, which is computable directly from
-a primary cyclic decomposition: if ``G = C_{q1} x ... x C_{qk}`` with prime
-power ``qi`` then ``G (x) G = prod_{i,j} C_{gcd(qi, qj)}`` and ``x (x) y``
-vanishes exactly when ``x_i * y_j = 0 (mod gcd(qi, qj))`` for every pair of
-coordinates.  This path never touches the coset enumerator, so it serves as
-an independent oracle for it.
+For abelian groups A and B with primary cyclic decompositions
+``A = C_{q1} x ... x C_{qk}`` and ``B = C_{r1} x ... x C_{rl}`` the integral
+tensor product is ``A (x)_Z B = prod_{i,j} C_{gcd(qi, rj)}``, and ``x (x) y``
+vanishes exactly when ``x_i * y_j = 0 (mod gcd(qi, rj))`` for every pair of
+coordinates.  ``bilinear_tensor`` is the one implementation of that pairing:
+``tensor.tensor_square`` uses it for the tensor square of an abelian group
+(A = B = G) and for the cross terms ``A^ab (x) K^ab`` of a direct product.
+The tests compare it with coset enumeration, which never calls it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .groups import (
 
 @dataclass(frozen=True)
 class AbelianTensorOracle:
-    """Order and pairwise-triviality matrix of the tensor square of an abelian group."""
+    """Order of ``A (x)_Z B`` and ``trivial[x][y]``: whether ``x (x) y`` vanishes."""
 
     order: int
     trivial: tuple[tuple[bool, ...], ...]
@@ -107,20 +108,28 @@ def abelian_coordinates(
     return basis, orders, coords
 
 
-def abelian_tensor_square_oracle(group: FiniteGroup) -> AbelianTensorOracle:
-    """Tensor square of an abelian group straight from its cyclic decomposition."""
-    _, orders, coords = abelian_coordinates(group)
-    k = len(orders)
-    pair_mod = [[gcd(orders[i], orders[j]) for j in range(k)] for i in range(k)]
-    order = prod(pair_mod[i][j] for i in range(k) for j in range(k)) if k else 1
+def bilinear_tensor(left: FiniteGroup, right: FiniteGroup) -> AbelianTensorOracle:
+    """``left (x)_Z right`` of two abelian groups from their cyclic decompositions.
+
+    ``trivial`` is indexed by the elements of ``left``, then of ``right``.
+    """
+    _, lorders, lcoords = abelian_coordinates(left)
+    _, rorders, rcoords = abelian_coordinates(right)
+    mods = [
+        (i, j, gcd(qi, rj)) for i, qi in enumerate(lorders) for j, rj in enumerate(rorders)
+    ]
+    order = prod(m for _, _, m in mods)
 
     def is_trivial(x: int, y: int) -> bool:
-        cx, cy = coords[x], coords[y]
-        return all(
-            (cx[i] * cy[j]) % pair_mod[i][j] == 0 for i in range(k) for j in range(k)
-        )
+        cx, cy = lcoords[x], rcoords[y]
+        return all((cx[i] * cy[j]) % m == 0 for i, j, m in mods)
 
     trivial = tuple(
-        tuple(is_trivial(x, y) for y in group.elements()) for x in group.elements()
+        tuple(is_trivial(x, y) for y in right.elements()) for x in left.elements()
     )
     return AbelianTensorOracle(order=order, trivial=trivial)
+
+
+def abelian_tensor_square_oracle(group: FiniteGroup) -> AbelianTensorOracle:
+    """Tensor square of an abelian group straight from its cyclic decomposition."""
+    return bilinear_tensor(group, group)

@@ -30,16 +30,19 @@ class FiniteGroup:
 
     ``mul[i][j]`` is the index of the product of elements ``i`` and ``j``.
     The table is validated on construction (Latin square, identity at 0,
-    two-sided inverses, associativity).
+    two-sided inverses, associativity).  ``factors`` is ``(A, K)`` for a group
+    built by ``direct_product``, whose element ``a * |K| + b`` is the pair
+    ``(a, b)``; every other group has ``None``.
     """
 
-    __slots__ = ("order", "mul", "inv", "name", "generator_labels", "_cache")
+    __slots__ = ("order", "mul", "inv", "name", "generator_labels", "factors", "_cache")
 
     def __init__(
         self,
         mul: Sequence[Sequence[int]],
         name: str = "G",
         generator_labels: Optional[dict[str, int]] = None,
+        factors: Optional[tuple["FiniteGroup", "FiniteGroup"]] = None,
     ) -> None:
         n = len(mul)
         if n == 0:
@@ -51,6 +54,7 @@ class FiniteGroup:
         self.inv = _inverse_table(table, n)
         self.name = name
         self.generator_labels = dict(generator_labels) if generator_labels else {}
+        self.factors = factors
         self._cache: dict = {}
 
     # identity is pinned to index 0
@@ -106,6 +110,7 @@ class FiniteGroup:
         g.inv = self.inv
         g.name = self.name
         g.generator_labels = dict(labels)
+        g.factors = self.factors
         g._cache = {}
         return g
 
@@ -399,7 +404,9 @@ def direct_product(g: FiniteGroup, k: FiniteGroup, max_order: int = HARD_MAX_ORD
     for label, idx in k.generator_labels.items():
         if label not in clash:
             labels[label] = idx
-    return FiniteGroup(mul, name=f"{g.name}x{k.name}", generator_labels=labels)
+    return FiniteGroup(
+        mul, name=f"{g.name}x{k.name}", generator_labels=labels, factors=(g, k)
+    )
 
 
 # ---------------------------------------------------------------------------

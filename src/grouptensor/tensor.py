@@ -1,12 +1,24 @@
 """The tensor square of a group and the structures derived from it.
 
-``tensor_square`` realizes the tensor square concretely by enumerating the
-all-pairs presentation, then keeps only what downstream computations need:
-the group order and the pairwise triviality matrix ``trivial[x][y]``, true
-exactly when the pair element ``x (x) y`` is the identity.  Construction
-validates the structural facts every later computation relies on (rows and
-columns of the identity are trivial, the matrix is symmetric, triviality of
-a pair forces the two elements to commute).
+``tensor_square`` keeps only what downstream computations need: the group
+order and the pairwise triviality matrix ``trivial[x][y]``, true exactly when
+the pair element ``x (x) y`` is the identity.  It takes the first of three
+paths that applies:
+
+* an abelian group (read from its table) gets the integral tensor square
+  from ``abelian.bilinear_tensor``;
+* a group built by ``direct_product`` from A and K is decomposed
+  (Brown, Johnson and Robertson, J. Algebra 111, 1987): its square is
+  ``(A (x) A) x (A (x) K) x (K (x) A) x (K (x) K)``, the factors act
+  trivially on each other, so ``A (x) K = A^ab (x)_Z K^ab``, and
+  ``(a, b) (x) (a', b')`` is trivial exactly when ``a (x) a'``, ``b (x) b'``,
+  ``a (x) b'`` and ``b (x) a'`` all are.  The squares of A and K come from
+  these same three paths;
+* every other group is realized by enumerating the all-pairs presentation.
+
+Every result, whichever path made it, is validated for the structural facts
+later computations rely on (rows and columns of the identity are trivial, the
+matrix is symmetric, triviality of a pair forces the two elements to commute).
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
+from .abelian import bilinear_tensor
 from .coset_enum import (
     COMPLETED,
     DEFAULT_MAX_COSETS,
@@ -52,34 +65,75 @@ class TensorSquareData:
 
 
 _cache_lock = threading.Lock()
-_tensor_cache: dict[tuple[bytes, int], TensorSquareData] = {}
+_tensor_cache: dict[tuple[bytes, bool, int], TensorSquareData] = {}
 
 
 def tensor_square(
     group: FiniteGroup, max_cosets: int = DEFAULT_MAX_COSETS
 ) -> TensorSquareData:
-    """Tensor square of ``group``; raises LimitError if enumeration overflows.
+    """Tensor square of ``group``; raises LimitError if an enumeration overflows.
 
-    Results are memoized on the multiplication table, so structurally equal
-    groups share one enumeration per process.
+    Only the enumerations that run are bounded by ``max_cosets``: those of a
+    nonabelian group that is not a direct product, or of such a factor.
+    Results are memoized on the multiplication table and on whether the
+    group keeps its factors, so structurally equal groups share one
+    computation per process.
     """
-    key = (group.table_key(), max_cosets)
+    return _square(group, max_cosets, group)
+
+
+def _square(
+    group: FiniteGroup, max_cosets: int, top: FiniteGroup
+) -> TensorSquareData:
+    # whether the group keeps its factors decides whether anything is
+    # enumerated, and so whether LimitError can be raised: it is part of the key
+    key = (group.table_key(), group.factors is not None, max_cosets)
     with _cache_lock:
         hit = _tensor_cache.get(key)
     if hit is not None:
         return hit
 
-    table = todd_coxeter(tensor_square_presentation(group), max_cosets=max_cosets)
-    if table.status != COMPLETED:
-        raise LimitError(
-            f"tensor-square enumeration for {group.name} exceeded "
-            f"{max_cosets} cosets"
-        )
-    data = _from_table(group, table)
+    if group.is_abelian():
+        square = bilinear_tensor(group, group)
+        data = TensorSquareData(parent=group, order=square.order, trivial=square.trivial)
+    elif group.factors is not None:
+        left, right = (_square(f, max_cosets, top) for f in group.factors)
+        data = _product(group, left, right)
+    else:
+        table = todd_coxeter(tensor_square_presentation(group), max_cosets=max_cosets)
+        if table.status != COMPLETED:
+            where = group.name if group is top else f"{group.name} (factor of {top.name})"
+            raise LimitError(
+                f"tensor-square enumeration for {where} exceeded {max_cosets} cosets"
+            )
+        data = _from_table(group, table)
     _validate(data)
     with _cache_lock:
         _tensor_cache.setdefault(key, data)
     return data
+
+
+def _product(
+    group: FiniteGroup, left: TensorSquareData, right: TensorSquareData
+) -> TensorSquareData:
+    """Square of ``group = A x K`` from the squares of A and K."""
+    a_group, k_group = group.factors
+    a_ab, a_proj = quotient(a_group, derived_subgroup(a_group))
+    k_ab, k_proj = quotient(k_group, derived_subgroup(k_group))
+    cross = bilinear_tensor(a_ab, k_ab)
+    pairs = [(a, b) for a in a_group.elements() for b in k_group.elements()]
+    trivial = tuple(
+        tuple(
+            left.trivial[a][a2]
+            and right.trivial[b][b2]
+            and cross.trivial[a_proj[a]][k_proj[b2]]
+            and cross.trivial[a_proj[a2]][k_proj[b]]
+            for a2, b2 in pairs
+        )
+        for a, b in pairs
+    )
+    order = left.order * right.order * cross.order**2
+    return TensorSquareData(parent=group, order=order, trivial=trivial)
 
 
 def _from_table(group: FiniteGroup, table: CosetTable) -> TensorSquareData:

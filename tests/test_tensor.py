@@ -1,20 +1,28 @@
+import time
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from grouptensor import (
-    abelian_tensor_square_oracle,
     center,
     centralizer,
     derived_subgroup,
+    direct_product,
     j2_order,
     nilpotency_class,
+    quotient,
     tensor_center,
     tensor_centralizer,
     tensor_class,
     tensor_square,
+    tensor_square_presentation,
     tensor_upper_central,
+    todd_coxeter,
 )
 from grouptensor import tensor as tensor_module
 from grouptensor.errors import ConsistencyError, LimitError
+from grouptensor.groups import trivial_subgroup
 from grouptensor.specs import group_from_spec
 
 CORPUS_12 = [
@@ -40,18 +48,86 @@ def test_tensor_square_cyclic_orders(n, tensors):
     assert tensors(f"C{n}").order == n
 
 
+_ENUMERATED: dict = {}
+
+
+def enumerated(group):
+    """(order, trivial) by coset enumeration, which no fast path calls."""
+    key = group.table_key()
+    if key not in _ENUMERATED:
+        table = todd_coxeter(tensor_square_presentation(group))
+        data = tensor_module._from_table(group, table)
+        _ENUMERATED[key] = (data.order, data.trivial)
+    return _ENUMERATED[key]
+
+
+def decomposed(group):
+    """(order, trivial) by the direct-product decomposition, even for abelian groups."""
+    data = tensor_module._product(group, *(tensor_square(f) for f in group.factors))
+    return data.order, data.trivial
+
+
 def test_tensor_square_matches_oracle_exactly(groups, tensors):
+    # the bilinear path against enumeration, full matrix included
     for spec in ["C2", "C4", "C6", "C2xC2", "C2xC4", "C2xC2xC2", "C3xC3"]:
         data = tensors(spec)
-        oracle = abelian_tensor_square_oracle(groups(spec))
-        assert data.order == oracle.order
-        assert data.trivial == oracle.trivial
+        assert (data.order, data.trivial) == enumerated(groups(spec)), spec
+
+
+def test_decomposition_matches_enumeration(groups):
+    # C2xC2xC2 is abelian, so only `decomposed` takes the product path there;
+    # C1xS3xC2 is (C1xS3)xC2 and recurses into a product factor
+    for spec in ["C3xS3", "S3xC2", "C2xS3", "C2xA4", "C2xC2xC2", "C1xS3xC2"]:
+        g = groups(spec)
+        expected = enumerated(g)
+        assert decomposed(g) == expected, spec
+        data = tensor_square(g)
+        assert (data.order, data.trivial) == expected, spec
+
+
+_FACTORS = ["C1", "C2", "C3", "C4", "S3", "C2xC2"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_FACTORS), st.sampled_from(_FACTORS))
+def test_two_factor_products_match_enumeration(left, right):
+    g = direct_product(group_from_spec(left), group_from_spec(right))
+    assume(g.order <= 12)
+    expected = enumerated(g)
+    assert decomposed(g) == expected
+    data = tensor_square(g)
+    assert (data.order, data.trivial) == expected
 
 
 def test_limit_propagates_with_group_name(groups):
     with pytest.raises(LimitError) as err:
         tensor_square(groups("Q8"), max_cosets=5)
     assert "Q8" in str(err.value)
+    with pytest.raises(LimitError) as err:
+        tensor_square(group_from_spec("C2xQ8"), max_cosets=5)
+    assert "enumeration for Q8 (factor of C2xQ8) exceeded 5 cosets" in str(err.value)
+
+
+def test_memo_hit_does_not_change_limit_outcome():
+    # C2xQ8 only enumerates Q8, which fits 100 cosets; the same table without
+    # factors must enumerate all 2048 cosets, memo or not
+    product = group_from_spec("C2xQ8")
+    same_table, _ = quotient(product, trivial_subgroup(product))
+    assert same_table.mul == product.mul and same_table.factors is None
+    assert tensor_square(product, max_cosets=100).order == 2048
+    with pytest.raises(LimitError):
+        tensor_square(same_table, max_cosets=100)
+
+
+def test_products_and_abelian_groups_finish_fast(monkeypatch):
+    # each took minutes or did not finish when every square was enumerated
+    monkeypatch.setattr(tensor_module, "_tensor_cache", {})
+    started = time.monotonic()
+    for spec, order in [
+        ("C2xQ8", 2048), ("Q8xC4", 4096), ("E2^4", 2**16), ("E2^5", 2**25)
+    ]:
+        assert tensor_square(group_from_spec(spec)).order == order, spec
+    assert time.monotonic() - started < 10.0
 
 
 def test_tensor_centralizer_basics(groups, tensors):
