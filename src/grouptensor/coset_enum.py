@@ -8,6 +8,12 @@ FIFO queue backed by a union-find with path compression, and rows are filled
 after scanning so every generator image gets defined.  The whole procedure
 is deterministic: identical input produces an identical table.
 
+Rows are sparse while enumerating: each coset keeps a dict of its defined
+entries only, so defining a coset costs two entries rather than a row as wide
+as the column count, coincidence processing walks only the entries a dead
+coset has, and a processed dead coset drops its row.  The completed table is
+compacted into dense rows.
+
 Words are sequences of signed 1-based generator numbers, ``+g`` for the
 generator ``g-1`` and ``-g`` for its inverse.
 """
@@ -16,15 +22,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Sequence
 
 from .errors import ConsistencyError, LimitError, SpecError
-from .groups import FiniteGroup, conjugate
+from .groups import FiniteGroup, closure, conjugacy_classes, conjugate
 
 DEFAULT_MAX_COSETS = 1_000_000
 
-# Generators above this group order would make the all-pairs presentation
-# unmanageable (|G|^2 generators, 2|G|^3 relators).
+# Above this group order the tensor-square presentation (|G|^2 generators,
+# up to 2|G|^3 relators) is not attempted.
 TENSOR_PRESENTATION_MAX_ORDER = 64
 
 
@@ -97,9 +104,11 @@ def todd_coxeter(
         )
     )
 
-    table: list[list[Optional[int]]] = [[None] * ncols]
+    table: list[dict[int, int]] = [{}]
     parent = [0]  # union-find over cosets; dead cosets point below themselves
     live = 1
+    # processed dead cosets share one empty row; nothing may write to it
+    dead_row = MappingProxyType({})
 
     def rep(c: int) -> int:
         root = c
@@ -114,10 +123,9 @@ def todd_coxeter(
         if live >= max_cosets:
             raise _Overflow
         beta = len(table)
-        table.append([None] * ncols)
+        table.append({col ^ 1: alpha})
         parent.append(beta)
         table[alpha][col] = beta
-        table[beta][col ^ 1] = alpha
         live += 1
         return beta
 
@@ -139,17 +147,19 @@ def todd_coxeter(
         while queue:
             gamma = queue.popleft()
             row = table[gamma]
-            for col in range(ncols):
-                delta = row[col]
-                if delta is None:
-                    continue
-                if table[delta][col ^ 1] == gamma:
-                    table[delta][col ^ 1] = None
+            table[gamma] = dead_row
+            for col, delta in row.items():
+                back = table[delta]
+                if back.get(col ^ 1) == gamma:
+                    del back[col ^ 1]
                 mu, nu = rep(gamma), rep(delta)
-                if table[mu][col] is not None:
-                    merge(nu, table[mu][col])
-                elif table[nu][col ^ 1] is not None:
-                    merge(mu, table[nu][col ^ 1])
+                image = table[mu].get(col)
+                if image is not None:
+                    merge(nu, image)
+                    continue
+                image = table[nu].get(col ^ 1)
+                if image is not None:
+                    merge(mu, image)
                 else:
                     table[mu][col] = nu
                     table[nu][col ^ 1] = mu
@@ -158,15 +168,15 @@ def todd_coxeter(
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
         while True:
-            while i <= j and table[f][word[i]] is not None:
-                f = table[f][word[i]]
+            while i <= j and (x := table[f].get(word[i])) is not None:
+                f = x
                 i += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and table[b][word[j] ^ 1] is not None:
-                b = table[b][word[j] ^ 1]
+            while j >= i and (x := table[b].get(word[j] ^ 1)) is not None:
+                b = x
                 j -= 1
             if j < i:
                 if f != b:
@@ -182,17 +192,29 @@ def todd_coxeter(
     try:
         alpha = 0
         while alpha < len(table):
-            if rep(alpha) != alpha:
+            # live cosets are exactly the union-find roots
+            if parent[alpha] != alpha:
                 alpha += 1
                 continue
             for word in words:
+                # most scans find the relator already closed at alpha
+                f = alpha
+                try:
+                    for col in word:
+                        f = table[f][col]
+                except KeyError:
+                    pass
+                else:
+                    if f == alpha:
+                        continue
                 scan_and_fill(alpha, word)
-                if rep(alpha) != alpha:
+                if parent[alpha] != alpha:
                     break
             else:
                 # definitions never merge cosets, so alpha stays live here
+                row = table[alpha]
                 for col in range(ncols):
-                    if table[alpha][col] is None:
+                    if col not in row:
                         define(alpha, col)
             alpha += 1
     except _Overflow:
@@ -202,10 +224,10 @@ def todd_coxeter(
             status=EXCEEDED,
         )
 
-    alive = [c for c in range(len(table)) if rep(c) == c]
+    alive = [c for c in range(len(table)) if parent[c] == c]
     renum = {old: new for new, old in enumerate(alive)}
     rows = tuple(
-        tuple(renum[rep(entry)] for entry in table[old]) for old in alive
+        tuple(renum[rep(table[old][col])] for col in range(ncols)) for old in alive
     )
     result = CosetTable(
         generator_count=presentation.generator_count,
@@ -260,17 +282,40 @@ def generator_element(table: CosetTable, gen: int) -> int:
 
 
 def tensor_square_presentation(group: FiniteGroup) -> Presentation:
-    """The all-pairs presentation of the tensor square of a group.
+    """A presentation of the tensor square of a group.
 
-    One generator per ordered pair ``(g, n)`` (index ``g * |G| + n``) and,
-    writing ``(g, n)`` for the pair generator and ``^g n = g n g^-1``, the
-    relators::
+    One generator per ordered pair ``(g, n)`` (index ``g * |G| + n``).
+    Writing ``^g n = g n g^-1``, let R1(a) be the relations
+    ``(a g') (x) n = (^a g' (x) ^a n)(a (x) n)`` for all g', n and R2(y) the
+    relations ``g (x) (y n') = (g (x) y)(^y g (x) ^y n')`` for all g, n'.  The
+    tensor square is defined by R1(a) and R2(y) for every a and y (Brown and
+    Loday, Topology 26, 1987); this presentation keeps them only for a and y
+    in C = ``generating_classes(group)``, a union of conjugacy classes that
+    generates G::
 
-        (g g', n)^-1  (^g g', ^g n)  (g, n)      for every g, g', n
-        (g, n n')^-1  (g, n)  (^n g, ^n n')      for every g, n, n'
+        (g, y n')^-1  (g, y)  (^y g, ^y n')      for y in C and every g, n'
+        (a g', n)^-1  (^a g', ^a n)  (a, n)      for a in C and every g', n
 
-    Crude (|G|^2 generators, 2|G|^3 relators) but unconditionally correct at
-    the small orders this package targets.
+    that is 2|C||G|^2 relators on |G|^2 generators instead of 2|G|^3.  The
+    R2 relators come first: enumeration then defines fewer cosets that later
+    collapse (for D32, 15,155 instead of 44,271).
+
+    Lemma: these relators present the same group as all of R1 and R2.
+
+    Proof.  R1(a) and R1(^a b) imply R1(ab): by R1(a) at ``b g'`` and then
+    R1(^a b) at ``^a g'``, ``^a n`` (note ``^(^a b) ^a x = ^(ab) x``),
+    ``(ab g') (x) n = (^(ab) g' (x) ^(ab) n)(^a b (x) ^a n)(a (x) n)``, and by
+    R1(a) at ``b`` the last two factors are ``ab (x) n``.  Symmetrically,
+    R2(x) and R2(^x y) imply R2(xy): by R2(x) at ``y n'`` and R2(^x y) at
+    ``^x g``, ``^x n'``,
+    ``g (x) (xy n') = (g (x) x)(^x g (x) ^x y)(^(xy) g (x) ^(xy) n')``, and
+    by R2(x) at ``y`` the first two factors are ``g (x) xy``.  C is closed
+    under conjugation, so the products of k elements of C are too, and by
+    induction on k both R1 and R2 hold at every such product.  These
+    products are all of G, the identity included: C is nonempty and
+    generates the finite group G, and ``a^-1 = a^(m-1)`` when ``a^m = 1``.
+    So every relator of the full presentation is a consequence of these,
+    which are among its relators.
     """
     n = group.order
     if n > TENSOR_PRESENTATION_MAX_ORDER:
@@ -284,22 +329,62 @@ def tensor_square_presentation(group: FiniteGroup) -> Presentation:
         return g * n + h + 1  # 1-based signed letters
 
     conj = [[conjugate(group, g, x) for x in range(n)] for g in range(n)]
+    chosen = generating_classes(group)
     relators = []
     for g in range(n):
-        conj_by_g = conj[g]
-        for gp in range(n):
-            ggp = mul[g][gp]
-            cg_gp = conj_by_g[gp]
-            for x in range(n):
-                relators.append((-pair(ggp, x), pair(cg_gp, conj_by_g[x]), pair(g, x)))
-    for g in range(n):
-        for x in range(n):
-            conj_by_x = conj[x]
-            cx_g = conj_by_x[g]
-            row = mul[x]
+        for y in chosen:
+            conj_by_y = conj[y]
+            cy_g = conj_by_y[g]
+            row = mul[y]
             for xp in range(n):
-                relators.append((-pair(g, row[xp]), pair(g, x), pair(cx_g, conj_by_x[xp])))
+                relators.append((-pair(g, row[xp]), pair(g, y), pair(cy_g, conj_by_y[xp])))
+    for a in chosen:
+        conj_by_a = conj[a]
+        row = mul[a]
+        for gp in range(n):
+            agp = row[gp]
+            ca_gp = conj_by_a[gp]
+            for x in range(n):
+                relators.append((-pair(agp, x), pair(ca_gp, conj_by_a[x]), pair(a, x)))
     return Presentation(generator_count=n * n, relators=tuple(relators))
+
+
+def generating_classes(group: FiniteGroup) -> tuple[int, ...]:
+    """The elements of C for ``tensor_square_presentation``, sorted.
+
+    C is a union of conjugacy classes that generates the group and is closed
+    under inversion: a class and the class of its inverses are taken or left
+    together, as one unit.  Units are added smallest first (ties by least
+    element) until they generate, then every unit the others can do without
+    is dropped, in the same order.  The trivial group gets its identity,
+    since C must be nonempty.  The lemma needs no inverses, but enumeration
+    needs far fewer cosets with them: A4, whose two classes of 3-cycles are
+    each other's inverses, peaks at 134 live cosets instead of 1,868.
+    """
+    if group.order == 1:
+        return (0,)
+    units = sorted(
+        {
+            tuple(sorted(set(cls) | {group.inv[x] for x in cls}))
+            for cls in conjugacy_classes(group)
+            if cls != (0,)
+        },
+        key=lambda unit: (len(unit), unit[0]),
+    )
+
+    def generates(picked: list[tuple[int, ...]]) -> bool:
+        return len(closure(group, [x for unit in picked for x in unit])) == group.order
+
+    chosen: list[tuple[int, ...]] = []
+    for unit in units:
+        if chosen and generates(chosen):
+            break
+        chosen.append(unit)
+    for unit in list(chosen):
+        rest = [u for u in chosen if u != unit]
+        if generates(rest):
+            chosen = rest
+    return tuple(sorted(x for unit in chosen for x in unit))
 
 
 def standard_presentation(family: str, parameter: int) -> Presentation:

@@ -14,7 +14,7 @@ paths that applies:
   ``(a, b) (x) (a', b')`` is trivial exactly when ``a (x) a'``, ``b (x) b'``,
   ``a (x) b'`` and ``b (x) a'`` all are.  The squares of A and K come from
   these same three paths;
-* every other group is realized by enumerating the all-pairs presentation.
+* every other group is realized by enumerating ``tensor_square_presentation``.
 
 Every result, whichever path made it, is validated for the structural facts
 later computations rely on (rows and columns of the identity are trivial, the

@@ -35,6 +35,7 @@ from .groups import (
     all_subgroups,
     center,
     commutator_subgroup,
+    conjugate,
     full_subgroup,
     image_subgroup,
     nilpotency_class,
@@ -291,8 +292,17 @@ class EntryContext:
         return hit
 
     def k_quotient(self, h: SubgroupHandle):
-        """H / (H n Z-tensor) as a standalone group with its tensor square."""
-        key = h.elements
+        """H / (H n Z-tensor) as a standalone group with its tensor square.
+
+        Z-tensor is normal, so conjugate subgroups give isomorphic quotients,
+        and callers read only isomorphism invariants of them: one quotient is
+        built per conjugacy class of subgroups, keyed by its least member.
+        """
+        group = self.group
+        key = min(
+            tuple(sorted(conjugate(group, x, e) for e in h.elements))
+            for x in group.elements()
+        )
         hit = self._k_quotients.get(key)
         if hit is None:
             zt = self.ztensor

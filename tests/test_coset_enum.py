@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grouptensor import (
     Presentation,
@@ -7,12 +11,14 @@ from grouptensor import (
     generator_element,
     group_from_spec,
     standard_presentation,
+    tensor_square,
     tensor_square_presentation,
     todd_coxeter,
 )
-from grouptensor.coset_enum import COMPLETED, EXCEEDED, dump_table
+from grouptensor import tensor as tensor_module
+from grouptensor.coset_enum import COMPLETED, EXCEEDED, dump_table, generating_classes
 from grouptensor.errors import LimitError
-from grouptensor.groups import relabeled
+from grouptensor.groups import closure, conjugacy_classes, conjugate, relabeled
 
 
 def test_single_relator_cyclic():
@@ -54,10 +60,12 @@ def test_standard_presentations_enumerate_to_family_order(family, param, order):
 
 
 def test_tensor_presentation_shape():
+    # 2|C||G|^2 relators: C is {1} in C2 and C1, two classes of size 2 in D8,
+    # and a rotation class of size 2 and a reflection class of size 8 in D32
     c2 = group_from_spec("C2")
     pres = tensor_square_presentation(c2)
     assert pres.generator_count == 4
-    assert len(pres.relators) == 16
+    assert len(pres.relators) == 8
     c1 = group_from_spec("C1")
     pres1 = tensor_square_presentation(c1)
     assert pres1.generator_count == 1
@@ -65,8 +73,97 @@ def test_tensor_presentation_shape():
     d8 = group_from_spec("D8")
     pres8 = tensor_square_presentation(d8)
     assert pres8.generator_count == 64
-    assert len(pres8.relators) == 1024
+    assert len(pres8.relators) == 512
     assert all(len(w) == 3 for w in pres8.relators)
+    # both classes of 3-cycles: C is closed under inversion
+    assert len(tensor_square_presentation(group_from_spec("A4")).relators) == 2 * 8 * 144
+    d32 = group_from_spec("D32")
+    pres32 = tensor_square_presentation(d32)
+    assert pres32.generator_count == 1024
+    assert len(pres32.relators) == 20480
+    assert all(len(w) == 3 for w in pres32.relators)
+
+
+def full_presentation(group):
+    """Both defining relations at every element: 2|G|^3 relators, the oracle."""
+    n = group.order
+    mul = group.mul
+
+    def pair(g, h):
+        return g * n + h + 1
+
+    relators = []
+    for g in range(n):
+        for gp in range(n):
+            for x in range(n):
+                relators.append((
+                    -pair(mul[g][gp], x),
+                    pair(conjugate(group, g, gp), conjugate(group, g, x)),
+                    pair(g, x),
+                ))
+    for g in range(n):
+        for y in range(n):
+            for xp in range(n):
+                relators.append((
+                    -pair(g, mul[y][xp]),
+                    pair(g, y),
+                    pair(conjugate(group, y, g), conjugate(group, y, xp)),
+                ))
+    return Presentation(n * n, tuple(relators))
+
+
+def _relabel(group, seed):
+    rest = list(range(1, group.order))
+    random.Random(seed).shuffle(rest)
+    return relabeled(group, [0] + rest)
+
+
+@pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "A4", "D12", "D16", "Q16", "S4"])
+def test_class_restricted_presentation_matches_full_presentation(spec):
+    # order and the whole triviality matrix, on the group and two relabellings
+    base = group_from_spec(spec)
+    for group in [base, _relabel(base, 1), _relabel(base, 2)]:
+        oracle = full_presentation(group)
+        assert len(oracle.relators) == 2 * group.order**3
+        full = tensor_module._from_table(group, todd_coxeter(oracle))
+        data = tensor_square(group)
+        assert (data.order, data.trivial) == (full.order, full.trivial), group.name
+
+
+def _admissible(group, elements):
+    """Nonempty, closed under conjugation and inversion, and generating."""
+    c = set(elements)
+    return (
+        bool(c)
+        and c == {conjugate(group, x, a) for x in group.elements() for a in c}
+        and c == {group.inv[a] for a in c}
+        and len(closure(group, c)) == group.order
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=st.sampled_from(
+        ["C1", "C2", "C6", "C2xC2", "S3", "D8", "Q8", "A4", "D12", "C3xS3",
+         "C2xA4", "D16", "Q16", "S4", "D24", "A5"]
+    ),
+    seed=st.integers(0, 1000),
+)
+def test_generating_classes_are_admissible_and_irredundant(spec, seed):
+    group = _relabel(group_from_spec(spec), seed)
+    chosen = generating_classes(group)
+    assert list(chosen) == sorted(set(chosen))
+    assert _admissible(group, chosen)
+    for cls in conjugacy_classes(group):
+        if set(cls) <= set(chosen):
+            assert not _admissible(group, set(chosen) - set(cls)), cls
+
+
+def test_inverse_closed_classes_keep_a4_enumeration_small():
+    # with C one class of 3-cycles, which alone generates A4, it peaks at 1,868
+    table = todd_coxeter(tensor_square_presentation(group_from_spec("A4")), max_cosets=200)
+    assert table.status == COMPLETED
+    assert table.coset_count == 24
 
 
 def test_tensor_presentation_small_counts():

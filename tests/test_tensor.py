@@ -109,14 +109,14 @@ def test_limit_propagates_with_group_name(groups):
 
 
 def test_memo_hit_does_not_change_limit_outcome():
-    # C2xQ8 only enumerates Q8, which fits 100 cosets; the same table without
-    # factors must enumerate all 2048 cosets, memo or not
+    # C2xQ8 only enumerates Q8, which fits 200 live cosets; the same table
+    # without factors must enumerate all 2048 cosets, memo or not
     product = group_from_spec("C2xQ8")
     same_table, _ = quotient(product, trivial_subgroup(product))
     assert same_table.mul == product.mul and same_table.factors is None
-    assert tensor_square(product, max_cosets=100).order == 2048
+    assert tensor_square(product, max_cosets=200).order == 2048
     with pytest.raises(LimitError):
-        tensor_square(same_table, max_cosets=100)
+        tensor_square(same_table, max_cosets=200)
 
 
 def test_products_and_abelian_groups_finish_fast(monkeypatch):

@@ -14,10 +14,12 @@ from grouptensor import (
     tensor_degree,
     tensor_square,
 )
+from grouptensor.groups import all_subgroups
 from grouptensor.verify import (
     ALL_CHECK_IDS,
     DISCREPANCY_NOTE,
     THEOREM_IDS,
+    EntryContext,
     corpus_from_file,
     evaluate_entry,
     normalize_check_ids,
@@ -82,6 +84,17 @@ def test_check_theorem_tensor_overflow_is_skipped():
         assert check.skipped and check.holds is None, check_id
         assert check.note.startswith("exceeded-limit"), check_id
         assert check.n == instance.get("n"), check_id
+
+
+def test_conjugate_subgroups_share_one_k_quotient():
+    # S4's three Sylow 2-subgroups are conjugate: one quotient, one tensor square
+    s4 = group_from_spec("S4")
+    ctx = EntryContext("S4", s4, Config(max_order=24))
+    sylows = [h for h in all_subgroups(s4) if h.order == 8]
+    assert len(sylows) == 3
+    first = ctx.k_quotient(sylows[0])
+    assert all(ctx.k_quotient(h) is first for h in sylows[1:])
+    assert first[0].order == 8 and first[1].order == 32
 
 
 def test_normalize_check_ids():
