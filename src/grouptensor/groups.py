@@ -419,18 +419,6 @@ def conjugate(group: FiniteGroup, g: int, n: int) -> int:
     return group.mul[group.mul[g][n]][group.inv[g]]
 
 
-def conjugacy_classes(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """Conjugacy classes as sorted tuples, ordered by least element."""
-    seen: set[int] = set()
-    classes = []
-    for x in group.elements():
-        if x not in seen:
-            cls = tuple(sorted({conjugate(group, g, x) for g in group.elements()}))
-            seen.update(cls)
-            classes.append(cls)
-    return classes
-
-
 def commutator(group: FiniteGroup, x: int, y: int) -> int:
     """[x, y] = x y x^-1 y^-1."""
     m = group.mul

@@ -25,7 +25,6 @@ from grouptensor import (
 )
 from grouptensor.groups import (
     FiniteGroup,
-    conjugacy_classes,
     full_subgroup,
     relabeled,
     trivial_subgroup,
@@ -214,16 +213,6 @@ def test_relabeled_preserves_structure():
     assert sorted(twisted.element_order(x) for x in twisted.elements()) == sorted(
         s3.element_order(x) for x in s3.elements()
     )
-
-
-def test_conjugacy_classes_partition_the_group():
-    s4 = symmetric(4)
-    classes = conjugacy_classes(s4)
-    assert sorted(x for cls in classes for x in cls) == list(s4.elements())
-    assert sorted(len(cls) for cls in classes) == [1, 3, 6, 6, 8]
-    assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
-    for cls in classes:
-        assert {conjugate(s4, g, cls[0]) for g in s4.elements()} == set(cls)
 
 
 def test_bad_tables_rejected():
