@@ -5,7 +5,6 @@ from .coset_enum import (
     CosetTable,
     Presentation,
     generator_element,
-    standard_presentation,
     tensor_square_presentation,
     todd_coxeter,
 )

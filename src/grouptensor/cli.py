@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .coset_enum import DEFAULT_MAX_COSETS, dump_table, tensor_square_presentation, todd_coxeter
+from .coset_enum import DEFAULT_MAX_COSETS, dump_table
 from .degrees import (
     comm_degree,
     format_decimal,
@@ -66,8 +66,8 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
     cls = info["tensor_class"]
     print(f"tensor class: {cls if cls is not None else 'none'}")
     if args.dump_table:
-        table = todd_coxeter(tensor_square_presentation(group), max_cosets=args.max_cosets)
-        print(dump_table(table))
+        none = "(no table: the tensor square was not enumerated)"
+        print(dump_table(data.table) if data.table else none)
     return 0
 
 

@@ -1,8 +1,10 @@
 """Finitely presented groups and Todd-Coxeter coset enumeration.
 
-Enumeration is always over the trivial subgroup, so a completed table is the
-regular representation of the presented group and its coset count is the
-group order.  The strategy is HLT: relators are scanned and filled at every
+Enumeration is over the subgroup generated by the presentation's subgroup
+words, the trivial subgroup if there are none; over the trivial subgroup a
+completed table is the regular representation of the presented group and its
+coset count is the group order.  The strategy is HLT: the subgroup words are
+scanned and filled at coset 0, then relators are scanned and filled at every
 live coset in index order, coincidences are processed immediately through a
 FIFO queue backed by a union-find with path compression, and rows are filled
 after scanning so every generator image gets defined.  The whole procedure
@@ -14,10 +16,9 @@ as the column count, coincidence processing walks only the entries a dead
 coset has, and a processed dead coset drops its row.  The completed table is
 compacted into dense rows.
 
-The tensor-square presentation imposes its defining relations only at a
-small inverse-closed generating set S of the group (``generating_set``):
-2|S||G|^2 relators rather than 2|G|^3, and HLT makes about one scan per
-relator per surviving coset.
+The tensor square is enumerated as part of Rocco's group nu(G), over G
+(``tensor_square_presentation``): rows have 4|X| columns for a small
+generating set X of G, and there are |G| |G (x) G| cosets.
 
 Words are sequences of signed 1-based generator numbers, ``+g`` for the
 generator ``g-1`` and ``-g`` for its inverse.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from types import MappingProxyType
 from typing import Sequence
 
@@ -35,24 +37,25 @@ from .groups import FiniteGroup, closure, conjugate, element_orders
 
 DEFAULT_MAX_COSETS = 1_000_000
 
-# Above this group order the tensor-square presentation (|G|^2 generators,
-# 2|S||G|^2 relators for the generating set S) is not attempted.
+# Above this group order the tensor-square presentation is not attempted.
 TENSOR_PRESENTATION_MAX_ORDER = 64
 
 
 @dataclass(frozen=True)
 class Presentation:
-    """A finite presentation: generator count plus relator words."""
+    """A finite presentation: generator count, relator words and the words
+    that generate the subgroup to enumerate over (the trivial one if none)."""
 
     generator_count: int
     relators: tuple[tuple[int, ...], ...]
+    subgroup: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
         if self.generator_count < 0:
             raise SpecError("generator count must be nonnegative")
-        for word in self.relators:
+        for word in self.relators + self.subgroup:
             if not word:
-                raise SpecError("relator words must be nonempty")
+                raise SpecError("relator and subgroup words must be nonempty")
             for letter in word:
                 if letter == 0 or abs(letter) > self.generator_count:
                     raise SpecError(f"relator letter {letter} out of range")
@@ -68,7 +71,7 @@ class CosetTable:
 
     ``rows[c]`` has ``2 * generator_count`` entries: column ``2g`` is the
     action of generator ``g`` on coset ``c`` and column ``2g + 1`` the action
-    of its inverse.  Coset 0 is the identity coset.  For an exceeded-limit
+    of its inverse.  Coset 0 is the subgroup itself.  For an exceeded-limit
     result the rows are absent and ``coset_count`` reports the number of live
     cosets at the point enumeration stopped.
     """
@@ -80,8 +83,7 @@ class CosetTable:
 
     def action(self, coset: int, letter: int) -> int:
         """Apply a signed generator letter to a coset."""
-        g = abs(letter) - 1
-        return self.rows[coset][2 * g + (0 if letter > 0 else 1)]
+        return self.rows[coset][_column(letter)]
 
 
 def _column(letter: int) -> int:
@@ -92,7 +94,7 @@ def _column(letter: int) -> int:
 def todd_coxeter(
     presentation: Presentation, max_cosets: int = DEFAULT_MAX_COSETS
 ) -> CosetTable:
-    """Enumerate cosets of the trivial subgroup in the presented group.
+    """Enumerate the cosets of the presentation's subgroup.
 
     Returns a completed, compacted, verified table, or a table whose status
     is ``exceeded-limit`` if more than ``max_cosets`` cosets would be live at
@@ -108,6 +110,7 @@ def todd_coxeter(
             for word in presentation.relators
         )
     )
+    subgroup = [tuple(_column(letter) for letter in word) for word in presentation.subgroup]
 
     table: list[dict[int, int]] = [{}]
     parent = [0]  # union-find over cosets; dead cosets point below themselves
@@ -195,6 +198,8 @@ def todd_coxeter(
             i += 1
 
     try:
+        for word in subgroup:
+            scan_and_fill(0, word)
         alpha = 0
         while alpha < len(table):
             # live cosets are exactly the union-find roots
@@ -241,6 +246,8 @@ def todd_coxeter(
         rows=rows,
     )
     _verify_table(result, words)
+    if any(reduce(lambda c, col: rows[c][col], word, 0) for word in subgroup):
+        raise ConsistencyError("subgroup generator does not fix coset 0")
     return result
 
 
@@ -268,11 +275,11 @@ def _verify_table(table: CosetTable, words: Sequence[tuple[int, ...]]) -> None:
 
 
 def generator_element(table: CosetTable, gen: int) -> int:
-    """Group element represented by a generator, as a coset index.
+    """The coset that a generator sends coset 0 to.
 
-    In the regular representation over the trivial subgroup, coset 0 is the
-    identity, so the row-0 image of a generator identifies its element; the
-    generator is the identity exactly when this is 0.
+    This is 0 exactly when the generator lies in the subgroup.  Over the
+    trivial subgroup the table is the regular representation, coset 0 is the
+    identity and the row-0 image of a generator identifies its element.
     """
     if table.status != COMPLETED:
         raise RuntimeError("generator_element requires a completed table")
@@ -287,39 +294,22 @@ def generator_element(table: CosetTable, gen: int) -> int:
 
 
 def tensor_square_presentation(group: FiniteGroup) -> Presentation:
-    """A presentation of the tensor square of a group.
+    """A presentation of Rocco's group nu(G), with G as its subgroup.
 
-    One generator per ordered pair ``(g, n)`` (index ``g * |G| + n``).
-    Writing ``^g n = g n g^-1``, let R1(a) be the relations
-    ``(a g') (x) n = (^a g' (x) ^a n)(a (x) n)`` for all g', n and R2(y) the
-    relations ``g (x) (y n') = (g (x) y)(^y g (x) ^y n')`` for all g, n'.  The
-    tensor square is defined by R1(a) and R2(y) for every a and y (Brown and
-    Loday, Topology 26, 1987); this presentation keeps them only for a and y
-    in S = ``generating_set(group)``, a small set that generates G::
+    Rocco (Bol. Soc. Brasil. Mat. 22, 1991) presents nu(G) on G and a copy
+    G^phi by G's relations, their phi-copies and, for all g, h and k,
+    ``^k [g, h^phi] = [^k g, (^k h)^phi] = ^(k^phi) [g, h^phi]``;
+    ``g (x) h -> [g, h^phi]`` maps G (x) G isomorphically onto
+    ``[G, G^phi]``.  Ellis and Leonard (Proc. Roy. Irish Acad. 95A, 1995)
+    show that the last relations are needed only at generators.
 
-        (g, y n')^-1  (g, y)  (^y g, ^y n')      for y in S and every g, n'
-        (a g', n)^-1  (^a g', ^a n)  (a, n)      for a in S and every g', n
-
-    that is 2|S||G|^2 relators on |G|^2 generators instead of 2|G|^3.  The
-    R2 relators come first: enumeration then defines fewer cosets that later
-    collapse.
-
-    Lemma: these relators present the same group as all of R1 and R2.
-
-    Proof.  R1(a) and R1(c) imply R1(ca).  Put ``b = a^-1 c a``, so that
-    ``^a b = c`` and ``ab = ca``.  By R1(a) at ``b g'`` and then R1(c) at
-    ``^a g'``, ``^a n`` (note ``^c ^a x = ^(ab) x``),
-    ``(ab g') (x) n = (^(ab) g' (x) ^(ab) n)(c (x) ^a n)(a (x) n)``, and by
-    R1(a) at ``b`` the last two factors are ``ab (x) n``.  Symmetrically,
-    R2(x) and R2(c) imply R2(cx): with ``y = x^-1 c x``, R2(x) at ``y n'``
-    and R2(c) at ``^x g``, ``^x n'`` give
-    ``g (x) (xy n') = (g (x) x)(^x g (x) c)(^(xy) g (x) ^(xy) n')``, and by
-    R2(x) at ``y`` the first two factors are ``g (x) xy``.  So the elements
-    at which R1 holds are closed under products, and so are those at which
-    R2 holds.  Both sets contain S, which generates the finite group G, and
-    ``a^-1 = a^(m-1)`` when ``a^m = 1``; so both are all of G.  Every relator
-    of the full presentation is therefore a consequence of these, which are
-    among its relators.
+    Generator ``i`` is ``X[i]`` and ``|X| + i`` is ``X[i]^phi``, for X of
+    ``spanning_tree``; w(g) is the word of g along its tree.  The relators
+    are the Schreier relators ``w(g) x w(gx)^-1`` (g in G, x in X), their
+    phi-copies, and ``z [x, y^phi] z^-1 = [^z x, (^z y)^phi]`` and
+    ``z^phi [x, y^phi] z^-phi = [^z x, (^z y)^phi]`` for x, y in X and z in
+    S = ``generating_set(group)``, freely and cyclically reduced, without
+    duplicates.  The subgroup words are the letters of X.
     """
     n = group.order
     if n > TENSOR_PRESENTATION_MAX_ORDER:
@@ -327,45 +317,98 @@ def tensor_square_presentation(group: FiniteGroup) -> Presentation:
             f"tensor-square presentation limited to order "
             f"{TENSOR_PRESENTATION_MAX_ORDER}, group has {n}"
         )
-    mul = group.mul
+    gens, tree = spanning_tree(group)
+    m = len(gens)
+    word: dict[int, tuple[int, ...]] = {0: ()}
+    for g, parent, letter in tree:
+        word[g] = word[parent] + (letter,)
 
-    def pair(g: int, h: int) -> int:
-        return g * n + h + 1  # 1-based signed letters
+    def phi(w: Sequence[int]) -> tuple[int, ...]:
+        return tuple(a + m if a > 0 else a - m for a in w)
 
-    conj = [[conjugate(group, g, x) for x in range(n)] for g in range(n)]
-    chosen = generating_set(group)
-    relators = []
-    for g in range(n):
-        for y in chosen:
-            conj_by_y = conj[y]
-            cy_g = conj_by_y[g]
-            row = mul[y]
-            for xp in range(n):
-                relators.append((-pair(g, row[xp]), pair(g, y), pair(cy_g, conj_by_y[xp])))
-    for a in chosen:
-        conj_by_a = conj[a]
-        row = mul[a]
-        for gp in range(n):
-            agp = row[gp]
-            ca_gp = conj_by_a[gp]
-            for x in range(n):
-                relators.append((-pair(agp, x), pair(ca_gp, conj_by_a[x]), pair(a, x)))
-    return Presentation(generator_count=n * n, relators=tuple(relators))
+    def inverse(w: Sequence[int]) -> tuple[int, ...]:
+        return tuple(-a for a in reversed(w))
+
+    schreier = [
+        word[g] + (i + 1,) + inverse(word[group.mul[g][x]])
+        for g in range(n)
+        for i, x in enumerate(gens)
+    ]
+    relators = schreier + [phi(w) for w in schreier]
+    for z in generating_set(group):
+        for i, x in enumerate(gens):
+            for j, y in enumerate(gens):
+                a, b = word[conjugate(group, z, x)], phi(word[conjugate(group, z, y)])
+                commutator = (i + 1, m + j + 1, -(i + 1), -(m + j + 1))
+                rhs_inverse = b + a + inverse(b) + inverse(a)
+                for c in (word[z], phi(word[z])):
+                    relators.append(c + commutator + inverse(c) + rhs_inverse)
+    reduced = dict.fromkeys(_reduced(w) for w in relators)
+    return Presentation(
+        generator_count=2 * m,
+        relators=tuple(w for w in reduced if w),
+        subgroup=tuple((i + 1,) for i in range(m)),
+    )
+
+
+def _reduced(word: Sequence[int]) -> tuple[int, ...]:
+    """Freely and then cyclically reduced copy of a word."""
+    out: list[int] = []
+    for a in word:
+        if out and out[-1] == -a:
+            out.pop()
+        else:
+            out.append(a)
+    i, j = 0, len(out)
+    while j - i > 1 and out[i] == -out[j - 1]:
+        i, j = i + 1, j - 1
+    return tuple(out[i:j])
+
+
+def spanning_tree(
+    group: FiniteGroup,
+) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """X and a breadth-first tree of the right Cayley graph of G on X.
+
+    X holds the least element of each unit of ``generating_set(group)``.
+    The tree has ``(g, parent, letter)`` for every g but the identity, with
+    g = parent * X[i] for the letter ``i + 1`` and parent * X[i]^-1 for
+    ``-(i + 1)``, letters tried in the order ``+1, -1, +2, -2, ...``.
+    """
+    cached = group._cache.get("spanning_tree")
+    if cached is None:
+        gens = tuple(x for x in generating_set(group) if x <= group.inv[x])
+        steps = [
+            (letter, y)
+            for i, x in enumerate(gens)
+            for letter, y in ((i + 1, x), (-(i + 1), group.inv[x]))
+        ]
+        seen, frontier, tree = {0}, [0], []
+        for parent in frontier:
+            row = group.mul[parent]
+            for letter, y in steps:
+                g = row[y]
+                if g not in seen:
+                    seen.add(g)
+                    frontier.append(g)
+                    tree.append((g, parent, letter))
+        cached = group._cache["spanning_tree"] = (gens, tuple(tree))
+    return cached
 
 
 def generating_set(group: FiniteGroup) -> tuple[int, ...]:
     """The elements of S for ``tensor_square_presentation``, sorted.
 
-    S generates the group and is closed under inversion: it is a union of
-    units ``{x, x^-1}``.  It starts with a unit of largest element order,
-    then adds each unit that enlarges the subgroup generated so far, trying
-    non-involutions before involutions, each in ascending element order
-    (ties by least element); then every unit the others can do without is
-    dropped, in the order the units were added.  The trivial group gets its
-    identity, since S must be nonempty.  The lemma needs neither inverses
-    nor this order, but enumeration does: without inverses A4 peaks at
-    2,434 live cosets instead of 235, and A5, which peaks at 68,426, passes
-    140,000 when an involution replaces its 3-cycles.
+    S generates the group and is a union of units ``{x, x^-1}``.  It starts
+    with a unit of largest element order, then adds each unit that enlarges
+    the subgroup generated so far, non-involutions first, each in ascending
+    element order (ties by least element); then every unit the others can
+    do without is dropped, in the order added.  The trivial group gets its
+    identity.  Conjugating by one element of each unit would do, but the
+    inverses speed up the enumeration: A4 peaks at 549 live cosets instead
+    of 714, A5 at 37,728 instead of 211,139.  Non-involutions first keep S4
+    at 3,195 and A4 at 549 (5,391 and 1,554 otherwise), though A5 with an
+    involution in place of its 3-cycles would peak at 13,371.
     """
     if group.order == 1:
         return (0,)
@@ -391,65 +434,14 @@ def generating_set(group: FiniteGroup) -> tuple[int, ...]:
     return tuple(sorted(x for unit in chosen for x in unit))
 
 
-def standard_presentation(family: str, parameter: int) -> Presentation:
-    """Textbook presentation for a named family (used to cross-check orders)."""
-    if family == "cyclic":
-        n = parameter
-        if n < 1:
-            raise SpecError("cyclic parameter must be >= 1")
-        return Presentation(1, ((tuple([1] * n) if n > 0 else (1,)),))
-    if family == "dihedral":
-        order = parameter
-        if order < 4 or order % 2:
-            raise SpecError("dihedral order must be an even number >= 4")
-        m = order // 2
-        return Presentation(2, (tuple([1] * m), (2, 2), (2, 1, -2, 1)))
-    if family == "quaternion":
-        order = parameter
-        if order not in (8, 16):
-            raise SpecError("quaternion order must be 8 or 16")
-        k = order // 4
-        return Presentation(2, (tuple([1] * 2 * k), (2, 2) + tuple([-1] * k), (2, 1, -2, 1)))
-    if family == "symmetric":
-        m = parameter
-        if not 1 <= m <= 5:
-            raise SpecError("symmetric degree must be in 1..5")
-        if m == 1:
-            return Presentation(1, ((1,),))
-        rel = []
-        for i in range(1, m):
-            rel.append((i, i))
-        for i in range(1, m - 1):
-            rel.append((i, i + 1) * 3)
-        for i in range(1, m):
-            for j in range(i + 2, m):
-                rel.append((i, j) * 2)
-        return Presentation(m - 1, tuple(rel))
-    if family == "alternating":
-        m = parameter
-        if not 1 <= m <= 5:
-            raise SpecError("alternating degree must be in 1..5")
-        if m <= 2:
-            return Presentation(1, ((1,),))
-        if m == 3:
-            return Presentation(1, ((1, 1, 1),))
-        if m == 4:
-            return Presentation(2, ((1, 1, 1), (2, 2, 2), (1, 2) * 2))
-        return Presentation(2, ((1, 1, 1, 1, 1), (2, 2, 2), (1, 2) * 2))
-    raise SpecError(f"no standard presentation for family {family!r}")
-
-
 def dump_table(table: CosetTable) -> str:
     """Text matrix of the table: one row per coset, one column per signed generator."""
     if table.status != COMPLETED:
         return f"(no table: status {table.status}, live cosets {table.coset_count})"
-    width = len(str(table.coset_count - 1))
-    header = []
-    for g in range(table.generator_count):
-        header.append(f"g{g}".rjust(width + 2))
-        header.append(f"g{g}'".rjust(width + 2))
-    lines = [" " * (width + 2) + "".join(header)]
-    for c, row in enumerate(table.rows):
-        cells = "".join(str(x).rjust(width + 2) for x in row)
-        lines.append(str(c).rjust(width + 2) + cells)
+    width = len(str(table.coset_count - 1)) + 2
+    columns = [f"g{g}{mark}" for g in range(table.generator_count) for mark in ("", "'")]
+    lines = [
+        "".join(str(x).rjust(width) for x in [label, *row])
+        for label, row in [("", columns), *enumerate(table.rows)]
+    ]
     return "\n".join(lines)

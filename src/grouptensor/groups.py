@@ -32,7 +32,8 @@ class FiniteGroup:
     The table is validated on construction (Latin square, identity at 0,
     two-sided inverses, associativity).  ``factors`` is ``(A, K)`` for a group
     built by ``direct_product``, whose element ``a * |K| + b`` is the pair
-    ``(a, b)``; every other group has ``None``.
+    ``(a, b)``, and for its quotient by 1 and its whole group taken as a
+    subgroup, which share its table; every other group has ``None``.
     """
 
     __slots__ = ("order", "mul", "inv", "name", "generator_labels", "factors", "_cache")
@@ -511,7 +512,11 @@ def all_subgroups(group: FiniteGroup, max_order: int = 32) -> list[SubgroupHandl
 
 
 def normal_subgroups(group: FiniteGroup, max_order: int = 32) -> list[SubgroupHandle]:
-    return [h for h in all_subgroups(group, max_order) if h.is_normal()]
+    subgroups = all_subgroups(group, max_order)
+    cached = group._cache.get("normal_subgroups")
+    if cached is None:
+        cached = group._cache["normal_subgroups"] = tuple(h for h in subgroups if h.is_normal())
+    return list(cached)
 
 
 def centralizer(group: FiniteGroup, x: int) -> SubgroupHandle:
@@ -558,7 +563,8 @@ def quotient(
 
     Cosets are indexed by their minimal element in ascending order, so the
     identity coset is index 0 and quotienting by the trivial subgroup returns
-    an identical table.  Returns (quotient group, projection map).
+    an identical table, which keeps the group's factors.  Returns (quotient
+    group, projection map).
     """
     if not n.is_normal():
         raise ValueError(f"subgroup of order {n.order} is not normal in {group.name}")
@@ -578,7 +584,8 @@ def quotient(
         [proj[mul[r1][r2]] for r2 in reps]
         for r1 in reps
     ]
-    q = FiniteGroup(qmul, name=f"{group.name}/N{n.order}")
+    factors = group.factors if n.order == 1 else None
+    q = FiniteGroup(qmul, name=f"{group.name}/N{n.order}", factors=factors)
     if group.order <= HARD_MAX_ORDER:
         for a in group.elements():
             for b in group.elements():
@@ -588,11 +595,15 @@ def quotient(
 
 
 def subgroup_as_group(h: SubgroupHandle) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """Re-index a subgroup as a standalone group; returns (group, embedding)."""
+    """Re-index a subgroup as a standalone group; returns (group, embedding).
+
+    The whole group keeps its table, and with it its factors.
+    """
     elems = h.elements
     pos = {e: i for i, e in enumerate(elems)}
     mul = [[pos[h.parent.mul[a][b]] for b in elems] for a in elems]
-    g = FiniteGroup(mul, name=f"{h.parent.name}<{h.order}>")
+    factors = h.parent.factors if h.order == h.parent.order else None
+    g = FiniteGroup(mul, name=f"{h.parent.name}<{h.order}>", factors=factors)
     return g, elems
 
 

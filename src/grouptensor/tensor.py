@@ -14,7 +14,10 @@ paths that applies:
   ``(a, b) (x) (a', b')`` is trivial exactly when ``a (x) a'``, ``b (x) b'``,
   ``a (x) b'`` and ``b (x) a'`` all are.  The squares of A and K come from
   these same three paths;
-* every other group is realized by enumerating ``tensor_square_presentation``.
+* every other group is realized by enumerating the cosets of G in Rocco's
+  group nu(G) (``tensor_square_presentation``), which contains the tensor
+  square as ``[G, G^phi]``; ``_from_table`` reads the order and the matrix
+  from the cosets.
 
 Every result, whichever path made it, is validated for the structural facts
 later computations rely on (rows and columns of the identity are trivial, the
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from .abelian import bilinear_tensor
@@ -32,7 +36,7 @@ from .coset_enum import (
     COMPLETED,
     DEFAULT_MAX_COSETS,
     CosetTable,
-    generator_element,
+    spanning_tree,
     tensor_square_presentation,
     todd_coxeter,
 )
@@ -53,12 +57,14 @@ class TensorSquareData:
     """Order of the tensor square plus the pair-triviality matrix.
 
     ``trivial[x][y]`` is True exactly when ``x (x) y`` is the identity of the
-    enumerated tensor-square group.
+    tensor-square group.  ``table`` is the coset table it was read from, or
+    None if the group was not enumerated.
     """
 
     parent: FiniteGroup
     order: int
     trivial: tuple[tuple[bool, ...], ...]
+    table: Optional[CosetTable] = None
 
     def centralizer_size(self, x: int) -> int:
         return sum(self.trivial[x])
@@ -137,11 +143,29 @@ def _product(
 
 
 def _from_table(group: FiniteGroup, table: CosetTable) -> TensorSquareData:
+    """Order and matrix from the cosets of G in nu(G).
+
+    nu(G) maps onto G x G with ``[G, G^phi]`` in the kernel, so G meets
+    ``[G, G^phi]`` trivially and there are ``|G| |G (x) G|`` cosets.  And
+    ``g (x) h`` is trivial exactly when ``[h^phi, g]``, or equivalently
+    ``h^phi g h^-phi``, lies in G: when g fixes the coset ``G h^phi``.
+    """
     n = group.order
-    trivial = tuple(
-        tuple(generator_element(table, g * n + x) == 0 for x in range(n)) for g in range(n)
-    )
-    return TensorSquareData(parent=group, order=table.coset_count, trivial=trivial)
+    if table.coset_count % n:
+        raise ConsistencyError(f"{table.coset_count} cosets is not a multiple of |G| = {n}")
+    _, tree = spanning_tree(group)
+
+    def walk(start: int, shift: int) -> list[int]:
+        # image[g]: coset ``start`` times w(g), or times w(g)^phi when shift is |X|
+        image = [start] * n
+        for g, parent, letter in tree:
+            step = letter + shift if letter > 0 else letter - shift
+            image[g] = table.action(image[parent], step)
+        return image
+
+    columns = [[c == image for image in walk(c, 0)] for c in walk(0, table.generator_count // 2)]
+    trivial = tuple(tuple(row) for row in zip(*columns))
+    return TensorSquareData(group, table.coset_count // n, trivial, table)
 
 
 def _validate(data: TensorSquareData) -> None:
@@ -235,10 +259,8 @@ def _pullback_series(
     q, proj = quotient(group, zt)
     classical = upper_central_series(q)  # Z0(Q) = 1, Z1(Q) = Z(Q), ...
     series = [SubgroupHandle(group, (0,))]
-    for k in range(1, len(classical) + 1):
-        img = classical[k - 1] if k - 1 < len(classical) else classical[-1]
-        pulled = tuple(g for g in group.elements() if proj[g] in img)
-        series.append(SubgroupHandle(group, pulled))
+    for img in classical:
+        series.append(SubgroupHandle(group, (g for g in group.elements() if proj[g] in img)))
     group._cache["tensor_ucs"] = tuple(series)
     return series
 
@@ -246,19 +268,12 @@ def _pullback_series(
 def _direct_tensor_central(
     group: FiniteGroup, data: TensorSquareData, n: int
 ) -> tuple[int, ...]:
-    from itertools import product as iproduct
-
-    members = []
-    for a in group.elements():
-        ok = True
-        for tail in iproduct(group.elements(), repeat=n - 1):
-            v = iterated_commutator(group, (a,) + tail)
-            if not all(data.trivial[v]):
-                ok = False
-                break
-        if ok:
-            members.append(a)
-    return tuple(members)
+    tails = list(product(group.elements(), repeat=n - 1))
+    return tuple(
+        a
+        for a in group.elements()
+        if all(all(data.trivial[iterated_commutator(group, (a,) + tail)]) for tail in tails)
+    )
 
 
 def tensor_class(group: FiniteGroup, data: TensorSquareData) -> Optional[int]:

@@ -188,11 +188,14 @@ class EntryContext:
         self.group = group
         self.config = config
         self._tensor: TensorSquareData | LimitError | None = None
-        self._degree_cache: dict[tuple[tuple[int, ...], int], Fraction] = {}
-        self._plain_quotients: dict[tuple[int, ...], tuple] = {}
-        self._tensor_quotients: dict[tuple[int, ...], tuple] = {}
-        self._k_quotients: dict[tuple[int, ...], tuple] = {}
-        self._hg_commutators: dict[tuple[int, ...], SubgroupHandle] = {}
+        self._memos: dict[str, dict] = {}
+
+    def _memo(self, name: str, key, make: Callable):
+        """``make()``, computed once per name and key; nothing is kept if it raises."""
+        store = self._memos.setdefault(name, {})
+        if key not in store:
+            store[key] = make()
+        return store[key]
 
     # -- tensor-square dependent artifacts --------------------------------
 
@@ -227,12 +230,9 @@ class EntryContext:
         return tensor_upper_central(self.group, self.tensor, n)
 
     def dn(self, h: SubgroupHandle, n: int) -> Fraction:
-        key = (h.elements, n)
-        hit = self._degree_cache.get(key)
-        if hit is None:
-            hit = rel_n_tensor_degree(self.group, self.tensor, h, n)
-            self._degree_cache[key] = hit
-        return hit
+        return self._memo(
+            "dn", (h.elements, n), lambda: rel_n_tensor_degree(self.group, self.tensor, h, n)
+        )
 
     def dn_full(self, n: int) -> Fraction:
         return self.dn(self.full, n)
@@ -263,33 +263,19 @@ class EntryContext:
         return Fraction(hits, h.order * h.order)
 
     def hg_commutator(self, h: SubgroupHandle) -> SubgroupHandle:
-        key = h.elements
-        hit = self._hg_commutators.get(key)
-        if hit is None:
-            hit = commutator_subgroup(self.group, h, self.full)
-            self._hg_commutators[key] = hit
-        return hit
+        return self._memo("hg", h.elements, lambda: commutator_subgroup(self.group, h, self.full))
 
     def plain_quotient(self, n_handle: SubgroupHandle):
         """(Q, proj) without any tensor enumeration."""
-        key = n_handle.elements
-        hit = self._plain_quotients.get(key)
-        if hit is None:
-            q, proj = quotient(self.group, n_handle)
-            hit = (q, proj)
-            self._plain_quotients[key] = hit
-        return hit
+        return self._memo("quotient", n_handle.elements, lambda: quotient(self.group, n_handle))
 
     def tensor_quotient(self, n_handle: SubgroupHandle):
         """(Q, proj, tensor square of Q); may raise LimitError."""
-        key = n_handle.elements
-        hit = self._tensor_quotients.get(key)
-        if hit is None:
-            q, proj = self.plain_quotient(n_handle)
-            tq = tensor_square(q, max_cosets=self.config.max_cosets)
-            hit = (q, proj, tq)
-            self._tensor_quotients[key] = hit
-        return hit
+        q, proj = self.plain_quotient(n_handle)
+        return q, proj, self._memo(
+            "tensor", n_handle.elements,
+            lambda: tensor_square(q, max_cosets=self.config.max_cosets),
+        )
 
     def k_quotient(self, h: SubgroupHandle):
         """H / (H n Z-tensor) as a standalone group with its tensor square.
@@ -303,18 +289,15 @@ class EntryContext:
             tuple(sorted(conjugate(group, x, e) for e in h.elements))
             for x in group.elements()
         )
-        hit = self._k_quotients.get(key)
-        if hit is None:
-            zt = self.ztensor
-            inter = sorted(set(h.elements) & zt._set)
+
+        def make():
+            inter = sorted(set(h.elements) & self.ztensor._set)
             hgrp, embed = subgroup_as_group(h)
             pos = {e: i for i, e in enumerate(embed)}
-            n_in_h = SubgroupHandle(hgrp, [pos[e] for e in inter])
-            k, _ = quotient(hgrp, n_in_h)
-            tk = tensor_square(k, max_cosets=self.config.max_cosets)
-            hit = (k, tk)
-            self._k_quotients[key] = hit
-        return hit
+            k, _ = quotient(hgrp, SubgroupHandle(hgrp, [pos[e] for e in inter]))
+            return k, tensor_square(k, max_cosets=self.config.max_cosets)
+
+        return self._memo("k_quotient", key, make)
 
 
 # ---------------------------------------------------------------------------

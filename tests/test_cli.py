@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from grouptensor import tensor as tensor_module
 from grouptensor.cli import main
 
 
@@ -30,10 +31,26 @@ def test_tensor(capsys):
     assert "tensor class: 3" in out
 
 
-def test_tensor_dump_table(capsys):
-    code, out, _ = run_cli(capsys, "tensor", "C2", "--dump-table")
-    assert code == 0
-    assert "g0" in out and "g3" in out
+def test_tensor_dump_table(capsys, monkeypatch):
+    # the dump is the table tensor_square enumerated: D8 enumerates once,
+    # and C2xD8, assembled from its factors' squares, not at all
+    calls = []
+
+    def counted(presentation, max_cosets):
+        calls.append(presentation)
+        return enumerate_cosets(presentation, max_cosets)
+
+    enumerate_cosets = tensor_module.todd_coxeter
+    monkeypatch.setattr(tensor_module, "todd_coxeter", counted)
+    monkeypatch.setattr(tensor_module, "_tensor_cache", {})
+    code, out, _ = run_cli(capsys, "tensor", "D8", "--dump-table")
+    assert code == 0 and len(calls) == 1
+    # D8 in nu(D8): generators g0, g1 and their copies g2, g3; 256 cosets
+    assert "g0" in out and "g3'" in out and "\n  255" in out
+    code, out, _ = run_cli(capsys, "tensor", "C2xD8", "--dump-table")
+    assert code == 0 and len(calls) == 1
+    assert "tensor square order: 1024" in out
+    assert "(no table: the tensor square was not enumerated)" in out
 
 
 def test_degree_c4_subgroup(capsys):

@@ -5,20 +5,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouptensor import (
+    FiniteGroup,
     Presentation,
     SpecError,
     abelian_tensor_square_oracle,
     generator_element,
     group_from_spec,
-    standard_presentation,
     tensor_square,
     tensor_square_presentation,
     todd_coxeter,
 )
 from grouptensor import tensor as tensor_module
-from grouptensor.coset_enum import COMPLETED, EXCEEDED, dump_table, generating_set
+from grouptensor.coset_enum import (
+    COMPLETED,
+    EXCEEDED,
+    dump_table,
+    generating_set,
+    spanning_tree,
+)
 from grouptensor.errors import LimitError
 from grouptensor.groups import closure, conjugate, element_orders, relabeled
+from presentations import standard_presentation
 
 
 def test_single_relator_cyclic():
@@ -34,6 +41,8 @@ def test_presentation_validation():
         Presentation(1, ((2,),))
     with pytest.raises(SpecError):
         Presentation(1, ((0,),))
+    with pytest.raises(SpecError):
+        Presentation(1, ((1,),), ((2,),))
 
 
 STANDARD = [
@@ -59,29 +68,30 @@ def test_standard_presentations_enumerate_to_family_order(family, param, order):
     assert table.coset_count == order
 
 
+def test_enumeration_over_a_subgroup():
+    # S4 over the S3 generated by s1 and s2, and D8 over the rotations
+    s4 = standard_presentation("symmetric", 4)
+    table = todd_coxeter(Presentation(3, s4.relators, ((1,), (2,))))
+    assert table.status == COMPLETED and table.coset_count == 4
+    assert generator_element(table, 0) == generator_element(table, 1) == 0
+    assert generator_element(table, 2) != 0
+    d8 = standard_presentation("dihedral", 8)
+    assert todd_coxeter(Presentation(2, d8.relators, ((1,),))).coset_count == 2
+
+
 def test_tensor_presentation_shape():
-    # 2|S||G|^2 relators: S is {1} in C2 and {0} in C1, and in D8 and D32 a
-    # rotation of largest order, its inverse and one reflection
-    c2 = group_from_spec("C2")
-    pres = tensor_square_presentation(c2)
-    assert pres.generator_count == 4
-    assert len(pres.relators) == 8
-    c1 = group_from_spec("C1")
-    pres1 = tensor_square_presentation(c1)
-    assert pres1.generator_count == 1
-    assert len(pres1.relators) == 2
-    d8 = group_from_spec("D8")
-    pres8 = tensor_square_presentation(d8)
-    assert pres8.generator_count == 64
-    assert len(pres8.relators) == 384
-    assert all(len(w) == 3 for w in pres8.relators)
-    # two 3-cycles that generate A4, each with its inverse
-    assert len(tensor_square_presentation(group_from_spec("A4")).relators) == 2 * 4 * 144
-    d32 = group_from_spec("D32")
-    pres32 = tensor_square_presentation(d32)
-    assert pres32.generator_count == 1024
-    assert len(pres32.relators) == 6144
-    assert all(len(w) == 3 for w in pres32.relators)
+    # nu(G) on X and X^phi, enumerated over X: X is {0} in C1, {1} in C2, and
+    # in D8 and D32 a rotation of largest order and a reflection; Schreier
+    # relators that coincide once reduced are kept once, which leaves D8 and
+    # D32 with 34 relators each
+    shapes = {"C1": (2, 3, 6), "C2": (2, 4, 20), "D8": (4, 34, 312),
+              "A4": (4, 54, 456), "D32": (4, 34, 352)}
+    for spec, (generators, relators, letters) in shapes.items():
+        pres = tensor_square_presentation(group_from_spec(spec))
+        assert pres.generator_count == generators, spec
+        assert len(pres.relators) == relators, spec
+        assert sum(map(len, pres.relators)) == letters, spec
+        assert pres.subgroup == tuple((i + 1,) for i in range(generators // 2)), spec
 
 
 def full_presentation(group):
@@ -112,23 +122,80 @@ def full_presentation(group):
     return Presentation(n * n, tuple(relators))
 
 
-def _relabel(group, seed):
+def _relabel_perm(group, seed):
     rest = list(range(1, group.order))
     random.Random(seed).shuffle(rest)
-    return relabeled(group, [0] + rest)
+    return [0] + rest
+
+
+def _relabel(group, seed):
+    return relabeled(group, _relabel_perm(group, seed))
+
+
+_ORACLE: dict = {}
+
+
+def oracle_square(group):
+    """(order, trivial) from the full presentation over the trivial subgroup,
+    where row 0 tells which pair generators are the identity."""
+    key = group.table_key()
+    if key not in _ORACLE:
+        n = group.order
+        oracle = full_presentation(group)
+        assert len(oracle.relators) == 2 * n**3
+        table = todd_coxeter(oracle)
+        trivial = tuple(
+            tuple(generator_element(table, g * n + x) == 0 for x in range(n)) for g in range(n)
+        )
+        _ORACLE[key] = (table.coset_count, trivial)
+    return _ORACLE[key]
+
+
+def nu_square(group):
+    """(order, trivial) from the enumeration of nu(G) over G, whatever path
+    ``tensor_square`` would take."""
+    data = tensor_module._from_table(group, todd_coxeter(tensor_square_presentation(group)))
+    tensor_module._validate(data)
+    return data.order, data.trivial
 
 
 @pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "A4", "D12", "D16", "Q16", "S4"])
 def test_class_restricted_presentation_matches_full_presentation(spec):
-    # the presentation over S against the full one: order and the whole
-    # triviality matrix, on the group and two relabellings
+    # tensor_square, which enumerates nu(G) for these groups, against the
+    # full presentation: order and the whole triviality matrix, on the group
+    # and two relabellings
     base = group_from_spec(spec)
     for group in [base, _relabel(base, 1), _relabel(base, 2)]:
-        oracle = full_presentation(group)
-        assert len(oracle.relators) == 2 * group.order**3
-        full = tensor_module._from_table(group, todd_coxeter(oracle))
         data = tensor_square(group)
-        assert (data.order, data.trivial) == (full.order, full.trivial), group.name
+        assert (data.order, data.trivial) == oracle_square(group), group.name
+
+
+def _factorless(spec):
+    return FiniteGroup(group_from_spec(spec).mul, name=f"{spec}/1")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spec=st.sampled_from(
+        ["S3", "D8", "Q8", "A4", "D12", "D16", "Q16", "S4", "C1", "C3xC3", "C2xC2xC2/1"]
+    ),
+    seed=st.integers(0, 1000),
+)
+def test_nu_presentation_matches_full_presentation(spec, seed):
+    # the oracle runs once per spec and is carried to the relabelling, an
+    # isomorphism; C2xC2xC2/1 is a table without factors that needs three
+    # generators
+    base = _factorless(spec[:-2]) if spec.endswith("/1") else group_from_spec(spec)
+    group = _relabel(base, seed)
+    if spec == "C2xC2xC2/1":
+        assert len(spanning_tree(group)[0]) == 3
+    order, trivial = oracle_square(base)
+    perm = _relabel_perm(base, seed)
+    expected = [[False] * base.order for _ in base.elements()]
+    for a in base.elements():
+        for b in base.elements():
+            expected[perm[a]][perm[b]] = trivial[a][b]
+    assert nu_square(group) == (order, tuple(map(tuple, expected)))
 
 
 def _generates(group, elements):
@@ -162,29 +229,32 @@ def test_generating_set_of_a5_has_no_involution():
 
 
 def test_generating_set_keeps_a4_enumeration_small():
-    # A4 peaks at 235 live cosets; the cap leaves that peak a small margin,
-    # and without inverses in S the peak would be 2,434
-    table = todd_coxeter(tensor_square_presentation(group_from_spec("A4")), max_cosets=250)
+    # A4 peaks at 549 live cosets; the cap leaves that peak a small margin,
+    # and with conjugation by X alone, not by all of S, the peak would be 714
+    table = todd_coxeter(tensor_square_presentation(group_from_spec("A4")), max_cosets=600)
     assert table.status == COMPLETED
-    assert table.coset_count == 24
+    assert table.coset_count == 12 * 24
 
 
 def test_tensor_presentation_small_counts():
+    # |G| |G (x) G| cosets of G in nu(G)
     assert todd_coxeter(tensor_square_presentation(group_from_spec("C1"))).coset_count == 1
-    assert todd_coxeter(tensor_square_presentation(group_from_spec("C2"))).coset_count == 2
+    assert todd_coxeter(tensor_square_presentation(group_from_spec("C2"))).coset_count == 4
 
 
 def test_generator_element_identity_rows():
+    # the letters of X lie in the subgroup G and fix coset 0; their copies in
+    # G^phi do not, since G and G^phi meet trivially
     g = group_from_spec("S3")
     table = todd_coxeter(tensor_square_presentation(g))
-    n = g.order
-    # pairs with the identity on either side are forced trivial
-    for x in range(n):
-        assert generator_element(table, 0 * n + x) == 0
-        assert generator_element(table, x * n + 0) == 0
+    m = table.generator_count // 2
+    for i in range(m):
+        assert generator_element(table, i) == 0
+        assert generator_element(table, m + i) != 0
+    # pairs with the identity on either side are trivial, and C2's other pair is not
     c2 = group_from_spec("C2")
     t2 = todd_coxeter(tensor_square_presentation(c2))
-    assert generator_element(t2, 1 * 2 + 1) != 0
+    assert tensor_module._from_table(c2, t2).trivial == ((True, True), (True, False))
 
 
 def test_generator_element_requires_completed():
@@ -214,7 +284,7 @@ def test_abelian_orders_match_bilinear_oracle():
         g = group_from_spec(spec)
         table = todd_coxeter(tensor_square_presentation(g))
         oracle = abelian_tensor_square_oracle(g)
-        assert table.coset_count == oracle.order, spec
+        assert table.coset_count == g.order * oracle.order, spec
 
 
 def test_order_invariant_under_relabeling():

@@ -25,6 +25,7 @@ from grouptensor import (
 )
 from grouptensor.groups import (
     FiniteGroup,
+    SubgroupHandle,
     full_subgroup,
     relabeled,
     trivial_subgroup,
@@ -120,6 +121,22 @@ def test_subgroup_generated():
     assert subgroup_generated(d8, []).elements == (0,)
     c4 = cyclic(4)
     assert subgroup_generated(c4, [2]).order == 2
+
+
+def test_normal_subgroups_are_filtered_once_per_group(monkeypatch):
+    calls = []
+    is_normal = SubgroupHandle.is_normal
+
+    def counted(handle):
+        calls.append(handle)
+        return is_normal(handle)
+
+    monkeypatch.setattr(SubgroupHandle, "is_normal", counted)
+    d8 = dihedral(8)
+    first = normal_subgroups(d8)
+    assert len(calls) == len(all_subgroups(d8)) == 10
+    assert normal_subgroups(d8) == first and len(first) == 6
+    assert len(calls) == 10
 
 
 def test_subgroup_generated_idempotent():

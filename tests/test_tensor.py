@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grouptensor import (
+    FiniteGroup,
     center,
     centralizer,
     derived_subgroup,
@@ -22,7 +23,7 @@ from grouptensor import (
 )
 from grouptensor import tensor as tensor_module
 from grouptensor.errors import ConsistencyError, LimitError
-from grouptensor.groups import trivial_subgroup
+from grouptensor.groups import full_subgroup, subgroup_as_group, trivial_subgroup
 from grouptensor.specs import group_from_spec
 
 CORPUS_12 = [
@@ -109,14 +110,26 @@ def test_limit_propagates_with_group_name(groups):
 
 
 def test_memo_hit_does_not_change_limit_outcome():
-    # C2xQ8 only enumerates Q8, which fits 200 live cosets; the same table
-    # without factors must enumerate all 2048 cosets, memo or not
+    # C2xQ8 only enumerates Q8, which peaks at 649 live cosets; the same
+    # table without factors must enumerate all 16 * 2048 cosets, memo or not
     product = group_from_spec("C2xQ8")
-    same_table, _ = quotient(product, trivial_subgroup(product))
-    assert same_table.mul == product.mul and same_table.factors is None
-    assert tensor_square(product, max_cosets=200).order == 2048
+    same_table = FiniteGroup(product.mul)
+    assert same_table.factors is None
+    assert tensor_square(product, max_cosets=700).order == 2048
     with pytest.raises(LimitError):
-        tensor_square(same_table, max_cosets=200)
+        tensor_square(same_table, max_cosets=700)
+
+
+def test_trivial_quotient_and_whole_subgroup_keep_factors():
+    product = group_from_spec("C2xQ8")
+    same, proj = quotient(product, trivial_subgroup(product))
+    whole, embed = subgroup_as_group(full_subgroup(product))
+    for group in (same, whole):
+        assert group.mul == product.mul and group.factors == product.factors
+        # so their squares are assembled from Q8's, which fits the cap
+        assert tensor_square(group, max_cosets=700).order == 2048
+    assert proj == embed == tuple(product.elements())
+    assert quotient(product, center(product))[0].factors is None
 
 
 def test_products_and_abelian_groups_finish_fast(monkeypatch):
