@@ -10,6 +10,16 @@ FIFO queue backed by a union-find with path compression, and rows are filled
 after scanning so every generator image gets defined.  The whole procedure
 is deterministic: identical input produces an identical table.
 
+HLT stops early once the table is complete and closed.  Every
+max(64, live / 16) processed cosets, if no live coset has an undefined
+entry, the table is compacted and ``_verify_table`` checks that every
+relator closes at every coset.  A complete table in which every relator
+closes and the subgroup words fix coset 0 is the coset table (Holt, Eick and
+O'Brien, Handbook of Computational Group Theory, 2005, ch. 5), and the
+remaining HLT steps would only trace closed relators and fill no entry, so
+the table returned is the one HLT would have finished with.  If a relator
+does not close, HLT goes on to the last coset and verifies the final table.
+
 Rows are sparse while enumerating: each coset keeps a dict of its defined
 entries only, so defining a coset costs two entries rather than a row as wide
 as the column count, coincidence processing walks only the entries a dead
@@ -29,6 +39,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Sequence
 
@@ -36,6 +47,10 @@ from .errors import ConsistencyError, LimitError, SpecError
 from .groups import FiniteGroup, closure, conjugate, element_orders
 
 DEFAULT_MAX_COSETS = 1_000_000
+
+# The least number of processed cosets between checks whether HLT may stop;
+# the gap grows with the live count, so the checks cost O(1) per coset.
+_CLOSURE_CHECK_MIN = 64
 
 # Above this group order the tensor-square presentation is not attempted.
 TENSOR_PRESENTATION_MAX_ORDER = 64
@@ -197,11 +212,37 @@ def todd_coxeter(
             f = define(f, word[i])
             i += 1
 
+    def compacted() -> CosetTable:
+        alive = [c for c in range(len(table)) if parent[c] == c]
+        renum = {old: new for new, old in enumerate(alive)}
+        return CosetTable(
+            generator_count=presentation.generator_count,
+            coset_count=len(alive),
+            status=COMPLETED,
+            rows=tuple(
+                tuple(renum[rep(table[old][col])] for col in range(ncols)) for old in alive
+            ),
+        )
+
+    def closed() -> CosetTable | None:
+        # between scans dead rows are empty, so the table is complete exactly
+        # when the live rows hold live * ncols entries
+        if sum(map(len, table)) != live * ncols:
+            return None
+        result = compacted()
+        try:
+            _verify_table(result, words)
+        except ConsistencyError:
+            return None
+        return result
+
+    result = None
     try:
         for word in subgroup:
             scan_and_fill(0, word)
         alpha = 0
-        while alpha < len(table):
+        countdown = _CLOSURE_CHECK_MIN
+        while result is None and alpha < len(table):
             # live cosets are exactly the union-find roots
             if parent[alpha] != alpha:
                 alpha += 1
@@ -227,6 +268,10 @@ def todd_coxeter(
                     if col not in row:
                         define(alpha, col)
             alpha += 1
+            countdown -= 1
+            if not countdown:
+                countdown = max(_CLOSURE_CHECK_MIN, live // 16)
+                result = closed()
     except _Overflow:
         return CosetTable(
             generator_count=presentation.generator_count,
@@ -234,18 +279,10 @@ def todd_coxeter(
             status=EXCEEDED,
         )
 
-    alive = [c for c in range(len(table)) if parent[c] == c]
-    renum = {old: new for new, old in enumerate(alive)}
-    rows = tuple(
-        tuple(renum[rep(table[old][col])] for col in range(ncols)) for old in alive
-    )
-    result = CosetTable(
-        generator_count=presentation.generator_count,
-        coset_count=len(alive),
-        status=COMPLETED,
-        rows=rows,
-    )
-    _verify_table(result, words)
+    if result is None:
+        result = compacted()
+        _verify_table(result, words)
+    rows = result.rows
     if any(reduce(lambda c, col: rows[c][col], word, 0) for word in subgroup):
         raise ConsistencyError("subgroup generator does not fix coset 0")
     return result
@@ -256,22 +293,29 @@ class _Overflow(Exception):
 
 
 def _verify_table(table: CosetTable, words: Sequence[tuple[int, ...]]) -> None:
+    # whole columns are composed as permutations: perm[c] is where the
+    # letters read so far take coset c
     n = table.coset_count
-    ncols = 2 * table.generator_count
-    for col in range(ncols):
-        seen = [table.rows[c][col] for c in range(n)]
-        if sorted(seen) != list(range(n)):
+    columns = list(zip(*table.rows))
+    identity = tuple(range(n))
+    for col, column in enumerate(columns):
+        if sorted(column) != list(identity):
             raise ConsistencyError("completed table column is not a permutation")
-        for c in range(n):
-            if table.rows[seen[c]][col ^ 1] != c:
-                raise ConsistencyError("completed table is not inverse-consistent")
+        if _compose(column, columns[col ^ 1]) != identity:
+            raise ConsistencyError("completed table is not inverse-consistent")
     for word in words:
-        for c in range(n):
-            x = c
-            for col in word:
-                x = table.rows[x][col]
-            if x != c:
-                raise ConsistencyError("relator does not trace to the identity")
+        perm = identity
+        for col in word:
+            perm = _compose(perm, columns[col])
+        if perm != identity:
+            raise ConsistencyError("relator does not trace to the identity")
+
+
+def _compose(perm: Sequence[int], column: Sequence[int]) -> tuple[int, ...]:
+    """``column[perm[c]]`` for every c."""
+    if len(perm) == 1:  # itemgetter of one index returns the item, not a tuple
+        return (column[perm[0]],)
+    return itemgetter(*perm)(column)
 
 
 def generator_element(table: CosetTable, gen: int) -> int:
@@ -370,14 +414,23 @@ def spanning_tree(
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
     """X and a breadth-first tree of the right Cayley graph of G on X.
 
-    X holds the least element of each unit of ``generating_set(group)``.
+    X holds the least element of each unit of ``generating_set(group)``, by
+    descending element order, ties by least element: whatever the labels, a
+    generator of largest order is letter 1, so the Schreier relators along
+    its powers cancel freely.
     The tree has ``(g, parent, letter)`` for every g but the identity, with
     g = parent * X[i] for the letter ``i + 1`` and parent * X[i]^-1 for
     ``-(i + 1)``, letters tried in the order ``+1, -1, +2, -2, ...``.
     """
     cached = group._cache.get("spanning_tree")
     if cached is None:
-        gens = tuple(x for x in generating_set(group) if x <= group.inv[x])
+        order = element_orders(group)
+        gens = tuple(
+            sorted(
+                (x for x in generating_set(group) if x <= group.inv[x]),
+                key=lambda x: (-order[x], x),
+            )
+        )
         steps = [
             (letter, y)
             for i, x in enumerate(gens)
@@ -406,9 +459,10 @@ def generating_set(group: FiniteGroup) -> tuple[int, ...]:
     do without is dropped, in the order added.  The trivial group gets its
     identity.  Conjugating by one element of each unit would do, but the
     inverses speed up the enumeration: A4 peaks at 549 live cosets instead
-    of 714, A5 at 37,728 instead of 211,139.  Non-involutions first keep S4
-    at 3,195 and A4 at 549 (5,391 and 1,554 otherwise), though A5 with an
-    involution in place of its 3-cycles would peak at 13,371.
+    of 714, S4 at 3,476 instead of 3,907, A5 at 34,718 instead of 166,290.
+    Non-involutions first keep S4 at 3,476 and A4 at 549 (4,112 and 1,554
+    otherwise), though A5 with an involution in place of its 3-cycles would
+    peak at 14,061.
     """
     if group.order == 1:
         return (0,)

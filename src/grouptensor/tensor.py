@@ -83,8 +83,11 @@ def tensor_square(
     nonabelian group that is not a direct product, or of such a factor.
     Results are memoized on the multiplication table and on whether the
     group keeps its factors, so structurally equal groups share one
-    computation per process.
+    computation per process.  ``max_cosets`` below 1 is a SpecError
+    whichever path the group takes.
     """
+    if max_cosets < 1:
+        raise SpecError(f"max_cosets must be at least 1, got {max_cosets}")
     return _square(group, max_cosets, group)
 
 

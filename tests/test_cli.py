@@ -83,6 +83,13 @@ def test_errors_exit_2(capsys):
     assert code == 2 and "exceeded" in err
 
 
+def test_max_cosets_below_one_exit_2(capsys):
+    # rejected whether the square is enumerated (D8, S3) or not (C2xC4)
+    for argv in (("tensor", "D8"), ("degree", "S3"), ("tensor", "C2xC4")):
+        code, _, err = run_cli(capsys, *argv, "--max-cosets", "0")
+        assert code == 2 and "max_cosets must be at least 1" in err, argv
+
+
 def test_usage_error_exit_2():
     proc = subprocess.run(
         [sys.executable, "-m", "grouptensor", "bogus-subcommand"],

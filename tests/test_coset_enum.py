@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -15,15 +16,18 @@ from grouptensor import (
     tensor_square_presentation,
     todd_coxeter,
 )
+from grouptensor import coset_enum
 from grouptensor import tensor as tensor_module
 from grouptensor.coset_enum import (
     COMPLETED,
     EXCEEDED,
+    CosetTable,
+    _verify_table,
     dump_table,
     generating_set,
     spanning_tree,
 )
-from grouptensor.errors import LimitError
+from grouptensor.errors import ConsistencyError, LimitError
 from grouptensor.groups import closure, conjugate, element_orders, relabeled
 from presentations import standard_presentation
 
@@ -222,8 +226,9 @@ def test_generating_set_is_inverse_closed_and_irredundant(spec, seed):
 
 
 def test_generating_set_of_a5_has_no_involution():
-    # A5 peaks at 68,426 live cosets; with an involution in place of its
-    # 3-cycles it passes 140,000
+    # non-involutions first: A5 peaks at 34,718 live cosets, though an
+    # involution in place of its 3-cycles would peak at 14,061 (the rule
+    # keeps S4 and A4 lower, see generating_set)
     a5 = group_from_spec("A5")
     assert not any(element_orders(a5)[x] == 2 for x in generating_set(a5))
 
@@ -311,3 +316,99 @@ def test_dump_table_renders():
     text = dump_table(table)
     assert "g0" in text
     assert len(text.splitlines()) == 5
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "D16",
+        "Q16",
+        pytest.param(
+            "S4",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="X takes the least element of each unit {x, x^-1}, a "
+                "choice made by labels: about half the relabellings give 524 "
+                "relator letters instead of 516",
+            ),
+        ),
+        "D24",
+        "D32",
+    ],
+)
+def test_presentation_size_is_label_invariant(spec):
+    # the largest-order generator is letter 1 whatever the labels, so the
+    # Schreier relators along its powers cancel freely in every relabelling
+    def size(group):
+        pres = tensor_square_presentation(group)
+        return pres.generator_count, len(pres.relators), sum(map(len, pres.relators))
+
+    base = group_from_spec(spec)
+    for seed in (1, 2, 3):
+        assert size(_relabel(base, seed)) == size(base), seed
+
+
+def _c3_table(inverse_column=(2, 0, 1)):
+    return CosetTable(1, 3, COMPLETED, tuple(zip((1, 2, 0), inverse_column)))
+
+
+def test_verify_table_rejects_inconsistent_tables():
+    # words are in columns: 0 is the generator, 1 its inverse
+    _verify_table(_c3_table(), [(0, 0, 0), (0, 1)])
+    _verify_table(CosetTable(1, 1, COMPLETED, ((0, 0),)), [(0,), (0, 1), (1, 1, 1)])
+    with pytest.raises(ConsistencyError, match="not a permutation"):
+        _verify_table(CosetTable(1, 2, COMPLETED, ((0, 0), (0, 1))), [])
+    with pytest.raises(ConsistencyError, match="not inverse-consistent"):
+        _verify_table(_c3_table(inverse_column=(1, 2, 0)), [])
+    with pytest.raises(ConsistencyError, match="does not trace to the identity"):
+        _verify_table(_c3_table(), [(0, 0, 0), (0, 0)])
+
+
+def _counting_verify(monkeypatch):
+    """Record, per call of ``_verify_table``, whether the table passed."""
+    outcomes = []
+    original = coset_enum._verify_table
+
+    def counted(table, words):
+        try:
+            original(table, words)
+        except ConsistencyError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+
+    monkeypatch.setattr(coset_enum, "_verify_table", counted)
+    return outcomes
+
+
+# sha256 of repr(rows) for the nu presentations below, as the enumerator
+# that ran HLT to the last coset returned them
+EARLY_STOP_ROWS = {
+    "D16": "7e8816bb7fc6ae1e2de84c69ac6b6ffe92dd3bdc0ddfa4d5617a1972afca3528",
+    "S4": "d8e8255ac5235a2f5d7b622272af0978d1834dc43588541fd4ecd64f48c4bbd8",
+    "D24": "b5e6adc4d07a8897cc09c3b6945cb10905abc8cf2c0353f8d640afcfedfb618e",
+}
+
+
+def test_early_stop_returns_the_full_hlt_table(monkeypatch):
+    # once complete and closed the table is final: the cosets HLT skips would
+    # only have traced closed relators; one closure check per enumeration
+    outcomes = _counting_verify(monkeypatch)
+    for spec, digest in EARLY_STOP_ROWS.items():
+        outcomes.clear()
+        table = todd_coxeter(tensor_square_presentation(group_from_spec(spec)))
+        assert hashlib.sha256(repr(table.rows).encode()).hexdigest() == digest, spec
+        assert outcomes == [True], spec
+
+
+def test_early_stop_falls_back_when_a_complete_table_is_not_closed(monkeypatch):
+    # with a closure check at every processed coset, this table is complete
+    # before its relators close; HLT goes on and the next check passes
+    monkeypatch.setattr(coset_enum, "_CLOSURE_CHECK_MIN", 1)
+    outcomes = _counting_verify(monkeypatch)
+    pres = Presentation(
+        2, ((1, 2, 2, -2, 2, 2, -2, -1), (2, -1, -1, 1, -2), (-2, -1, 2, -1, 1), (-2, -2, 1, 1))
+    )
+    table = todd_coxeter(pres)
+    assert table.status == COMPLETED and table.coset_count == 2
+    assert outcomes == [False, True]
