@@ -5,12 +5,15 @@ which is presented on a small generating set X of G and a copy X^phi.
 Enumerating the cosets of G in nu(G) realizes it concretely: there are
 |G| |G (x) G| cosets, and x (x) y is trivial exactly when x fixes the coset
 G y^phi.  ``tensor_square`` enumerates only when it must: abelian groups get
-the integral tensor square from a cyclic decomposition, and direct products
-are assembled from the squares of their factors.
+the integral tensor square from a cyclic decomposition, and groups whose
+multiplication table is a direct product are assembled from the squares of
+their factors.  The factors are read from the table (``direct_factors``), so
+a relabelled product or a quotient that is a product takes the same path.
 """
 
 from grouptensor import (
     abelian_tensor_square_oracle,
+    direct_factors,
     group_from_spec,
     j2_order,
     tensor_center,
@@ -52,8 +55,10 @@ for spec in ["C6", "C8", "C2xC4", "C3xC3", "C2xC2xC2"]:
 print()
 print("== direct products from their factors, no enumeration ==")
 for spec in ["C2xD8", "S3xS3", "C2xQ8", "Q8xC4"]:
-    data = tensor_square(group_from_spec(spec))
-    print(f"{spec:6s} |G (x) G| = {data.order}")
+    g = group_from_spec(spec)
+    n, m = direct_factors(g)
+    data = tensor_square(g)
+    print(f"{spec:6s} |N| = {n.order:2d}  |M| = {m.order:2d}  |G (x) G| = {data.order}")
 
 print()
 print("== which pairs collapse in the tensor square of the direct product S3xS3? ==")

@@ -34,6 +34,7 @@ from .groups import (
     cyclic,
     derived_subgroup,
     dihedral,
+    direct_factors,
     direct_product,
     elementary_abelian,
     iterated_commutator,

@@ -24,7 +24,12 @@ Rows are sparse while enumerating: each coset keeps a dict of its defined
 entries only, so defining a coset costs two entries rather than a row as wide
 as the column count, coincidence processing walks only the entries a dead
 coset has, and a processed dead coset drops its row.  The completed table is
-compacted into dense rows.
+compacted into dense rows by renumbering the live cosets, without looking
+any entry up in the union-find: once the coincidence queue is empty, live
+rows point only at live cosets.  Every write pairs an entry ``alpha[col] =
+beta`` with its inverse entry ``beta[col ^ 1] = alpha``, and writes go only
+to absent entries, so the pairs stay intact.  Processing a dead coset walks
+its row and so deletes every back-pointer to it, before its row is dropped.
 
 The tensor square is enumerated as part of Rocco's group nu(G), over G
 (``tensor_square_presentation``): rows have 4|X| columns for a small
@@ -220,7 +225,7 @@ def todd_coxeter(
             coset_count=len(alive),
             status=COMPLETED,
             rows=tuple(
-                tuple(renum[rep(table[old][col])] for col in range(ncols)) for old in alive
+                tuple(renum[table[old][col]] for col in range(ncols)) for old in alive
             ),
         )
 

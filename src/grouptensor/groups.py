@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import SpecError
@@ -30,20 +31,17 @@ class FiniteGroup:
 
     ``mul[i][j]`` is the index of the product of elements ``i`` and ``j``.
     The table is validated on construction (Latin square, identity at 0,
-    two-sided inverses, associativity).  ``factors`` is ``(A, K)`` for a group
-    built by ``direct_product``, whose element ``a * |K| + b`` is the pair
-    ``(a, b)``, and for its quotient by 1 and its whole group taken as a
-    subgroup, which share its table; every other group has ``None``.
+    two-sided inverses, associativity).  Structure, such as a direct-product
+    decomposition (``direct_factors``), is read from the table alone.
     """
 
-    __slots__ = ("order", "mul", "inv", "name", "generator_labels", "factors", "_cache")
+    __slots__ = ("order", "mul", "inv", "name", "generator_labels", "_cache")
 
     def __init__(
         self,
         mul: Sequence[Sequence[int]],
         name: str = "G",
         generator_labels: Optional[dict[str, int]] = None,
-        factors: Optional[tuple["FiniteGroup", "FiniteGroup"]] = None,
     ) -> None:
         n = len(mul)
         if n == 0:
@@ -55,7 +53,6 @@ class FiniteGroup:
         self.inv = _inverse_table(table, n)
         self.name = name
         self.generator_labels = dict(generator_labels) if generator_labels else {}
-        self.factors = factors
         self._cache: dict = {}
 
     # identity is pinned to index 0
@@ -97,10 +94,7 @@ class FiniteGroup:
     def exponent(self) -> int:
         cached = self._cache.get("exponent")
         if cached is None:
-            e = 1
-            for a in range(self.order):
-                e = _lcm(e, self.element_order(a))
-            cached = self._cache["exponent"] = e
+            cached = self._cache["exponent"] = lcm(*map(self.element_order, self.elements()))
         return cached
 
     def with_labels(self, labels: dict[str, int]) -> "FiniteGroup":
@@ -111,7 +105,6 @@ class FiniteGroup:
         g.inv = self.inv
         g.name = self.name
         g.generator_labels = dict(labels)
-        g.factors = self.factors
         g._cache = {}
         return g
 
@@ -128,12 +121,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def _validate_table(table: tuple[tuple[int, ...], ...], n: int) -> None:
@@ -405,9 +392,7 @@ def direct_product(g: FiniteGroup, k: FiniteGroup, max_order: int = HARD_MAX_ORD
     for label, idx in k.generator_labels.items():
         if label not in clash:
             labels[label] = idx
-    return FiniteGroup(
-        mul, name=f"{g.name}x{k.name}", generator_labels=labels, factors=(g, k)
-    )
+    return FiniteGroup(mul, name=f"{g.name}x{k.name}", generator_labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +496,42 @@ def all_subgroups(group: FiniteGroup, max_order: int = 32) -> list[SubgroupHandl
     return list(handles)
 
 
-def normal_subgroups(group: FiniteGroup, max_order: int = 32) -> list[SubgroupHandle]:
-    subgroups = all_subgroups(group, max_order)
+def normal_subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
+    """All normal subgroups, in the order of ``all_subgroups``, at any order.
+
+    Each is the join of the normal closures of the conjugacy classes in it,
+    and the join of normal A and C is the set AC.  So joining class closures
+    onto every subgroup found, until nothing new appears, finds them all.
+    """
     cached = group._cache.get("normal_subgroups")
     if cached is None:
-        cached = group._cache["normal_subgroups"] = tuple(h for h in subgroups if h.is_normal())
+        mul, elements = group.mul, group.elements()
+        classes = {frozenset(conjugate(group, x, g) for x in elements) for g in elements}
+        closures = {frozenset(closure(group, c)) for c in classes}
+        found, frontier = set(), closures | {frozenset((0,))}
+        while frontier:
+            found |= frontier
+            frontier = {
+                frozenset(mul[x][y] for x in a for y in c)
+                for a in frontier for c in closures if not c <= a
+            } - found
+        cached = group._cache["normal_subgroups"] = tuple(
+            SubgroupHandle(group, e) for e in sorted(map(sorted, found), key=lambda e: (len(e), e))
+        )
     return list(cached)
+
+
+def direct_factors(group: FiniteGroup) -> Optional[tuple[SubgroupHandle, SubgroupHandle]]:
+    """Normal N and M with N n M = 1 and |N| |M| = |G|, least N first, or None.
+
+    Then G is the internal direct product N x M: each element is one ``n m``.
+    """
+    normals = normal_subgroups(group)
+    return next(
+        ((n, m) for n in normals[1:-1] for m in normals
+         if n.order * m.order == group.order and len(n._set & m._set) == 1),
+        None,
+    )
 
 
 def centralizer(group: FiniteGroup, x: int) -> SubgroupHandle:
@@ -563,8 +578,7 @@ def quotient(
 
     Cosets are indexed by their minimal element in ascending order, so the
     identity coset is index 0 and quotienting by the trivial subgroup returns
-    an identical table, which keeps the group's factors.  Returns (quotient
-    group, projection map).
+    an identical table.  Returns (quotient group, projection map).
     """
     if not n.is_normal():
         raise ValueError(f"subgroup of order {n.order} is not normal in {group.name}")
@@ -584,8 +598,7 @@ def quotient(
         [proj[mul[r1][r2]] for r2 in reps]
         for r1 in reps
     ]
-    factors = group.factors if n.order == 1 else None
-    q = FiniteGroup(qmul, name=f"{group.name}/N{n.order}", factors=factors)
+    q = FiniteGroup(qmul, name=f"{group.name}/N{n.order}")
     if group.order <= HARD_MAX_ORDER:
         for a in group.elements():
             for b in group.elements():
@@ -595,15 +608,11 @@ def quotient(
 
 
 def subgroup_as_group(h: SubgroupHandle) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """Re-index a subgroup as a standalone group; returns (group, embedding).
-
-    The whole group keeps its table, and with it its factors.
-    """
+    """Re-index a subgroup as a standalone group; returns (group, embedding)."""
     elems = h.elements
     pos = {e: i for i, e in enumerate(elems)}
     mul = [[pos[h.parent.mul[a][b]] for b in elems] for a in elems]
-    factors = h.parent.factors if h.order == h.parent.order else None
-    g = FiniteGroup(mul, name=f"{h.parent.name}<{h.order}>", factors=factors)
+    g = FiniteGroup(mul, name=f"{h.parent.name}<{h.order}>")
     return g, elems
 
 

@@ -7,13 +7,13 @@ paths that applies:
 
 * an abelian group (read from its table) gets the integral tensor square
   from ``abelian.bilinear_tensor``;
-* a group built by ``direct_product`` from A and K is decomposed
-  (Brown, Johnson and Robertson, J. Algebra 111, 1987): its square is
-  ``(A (x) A) x (A (x) K) x (K (x) A) x (K (x) K)``, the factors act
+* a group whose table is a direct product A x K (``direct_factors``) is
+  decomposed (Brown, Johnson and Robertson, J. Algebra 111, 1987): its square
+  is ``(A (x) A) x (A (x) K) x (K (x) A) x (K (x) K)``, the factors act
   trivially on each other, so ``A (x) K = A^ab (x)_Z K^ab``, and
   ``(a, b) (x) (a', b')`` is trivial exactly when ``a (x) a'``, ``b (x) b'``,
-  ``a (x) b'`` and ``b (x) a'`` all are.  The squares of A and K come from
-  these same three paths;
+  ``a (x) b'`` and ``b (x) a'`` all are.  The squares of A and K, taken as
+  standalone groups, come from these same three paths;
 * every other group is realized by enumerating the cosets of G in Rocco's
   group nu(G) (``tensor_square_presentation``), which contains the tensor
   square as ``[G, G^phi]``; ``_from_table`` reads the order and the matrix
@@ -46,8 +46,10 @@ from .groups import (
     SubgroupHandle,
     center,
     derived_subgroup,
+    direct_factors,
     iterated_commutator,
     quotient,
+    subgroup_as_group,
     upper_central_series,
 )
 
@@ -71,7 +73,7 @@ class TensorSquareData:
 
 
 _cache_lock = threading.Lock()
-_tensor_cache: dict[tuple[bytes, bool, int], TensorSquareData] = {}
+_tensor_cache: dict[tuple[bytes, int], TensorSquareData] = {}
 
 
 def tensor_square(
@@ -81,22 +83,17 @@ def tensor_square(
 
     Only the enumerations that run are bounded by ``max_cosets``: those of a
     nonabelian group that is not a direct product, or of such a factor.
-    Results are memoized on the multiplication table and on whether the
-    group keeps its factors, so structurally equal groups share one
-    computation per process.  ``max_cosets`` below 1 is a SpecError
-    whichever path the group takes.
+    The path is read from the table alone, so results are memoized on the
+    table and the bound: equal tables share one computation per process.
+    ``max_cosets`` below 1 is a SpecError whichever path the group takes.
     """
     if max_cosets < 1:
         raise SpecError(f"max_cosets must be at least 1, got {max_cosets}")
-    return _square(group, max_cosets, group)
+    return _square(group, max_cosets)
 
 
-def _square(
-    group: FiniteGroup, max_cosets: int, top: FiniteGroup
-) -> TensorSquareData:
-    # whether the group keeps its factors decides whether anything is
-    # enumerated, and so whether LimitError can be raised: it is part of the key
-    key = (group.table_key(), group.factors is not None, max_cosets)
+def _square(group: FiniteGroup, max_cosets: int) -> TensorSquareData:
+    key = (group.table_key(), max_cosets)
     with _cache_lock:
         hit = _tensor_cache.get(key)
     if hit is not None:
@@ -105,15 +102,14 @@ def _square(
     if group.is_abelian():
         square = bilinear_tensor(group, group)
         data = TensorSquareData(parent=group, order=square.order, trivial=square.trivial)
-    elif group.factors is not None:
-        left, right = (_square(f, max_cosets, top) for f in group.factors)
-        data = _product(group, left, right)
+    elif (factors := direct_factors(group)) is not None:
+        data = _product(group, *factors, max_cosets)
     else:
         table = todd_coxeter(tensor_square_presentation(group), max_cosets=max_cosets)
         if table.status != COMPLETED:
-            where = group.name if group is top else f"{group.name} (factor of {top.name})"
+            # a factor is named after its parent, as in C2xQ8<8>
             raise LimitError(
-                f"tensor-square enumeration for {where} exceeded {max_cosets} cosets"
+                f"tensor-square enumeration for {group.name} exceeded {max_cosets} cosets"
             )
         data = _from_table(group, table)
     _validate(data)
@@ -123,23 +119,27 @@ def _square(
 
 
 def _product(
-    group: FiniteGroup, left: TensorSquareData, right: TensorSquareData
+    group: FiniteGroup, n: SubgroupHandle, m: SubgroupHandle, max_cosets: int
 ) -> TensorSquareData:
-    """Square of ``group = A x K`` from the squares of A and K."""
-    a_group, k_group = group.factors
+    """Square of the internal direct product ``group = N x M``, with N and M
+    re-indexed as groups A and K; ``pairs[g]`` is (g, a, b) with ``g = a b``."""
+    (a_group, a_embed), (k_group, k_embed) = subgroup_as_group(n), subgroup_as_group(m)
+    left, right = _square(a_group, max_cosets), _square(k_group, max_cosets)
     a_ab, a_proj = quotient(a_group, derived_subgroup(a_group))
     k_ab, k_proj = quotient(k_group, derived_subgroup(k_group))
     cross = bilinear_tensor(a_ab, k_ab)
-    pairs = [(a, b) for a in a_group.elements() for b in k_group.elements()]
+    pairs = sorted(
+        (group.mul[x][y], a, b) for a, x in enumerate(a_embed) for b, y in enumerate(k_embed)
+    )
     trivial = tuple(
         tuple(
             left.trivial[a][a2]
             and right.trivial[b][b2]
             and cross.trivial[a_proj[a]][k_proj[b2]]
             and cross.trivial[a_proj[a2]][k_proj[b]]
-            for a2, b2 in pairs
+            for _, a2, b2 in pairs
         )
-        for a, b in pairs
+        for _, a, b in pairs
     )
     order = left.order * right.order * cross.order**2
     return TensorSquareData(parent=group, order=order, trivial=trivial)

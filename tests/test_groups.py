@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from grouptensor import (
     cyclic,
     derived_subgroup,
     dihedral,
+    direct_factors,
     direct_product,
     group_from_spec,
     iterated_commutator,
@@ -23,9 +26,9 @@ from grouptensor import (
     symmetric,
     upper_central_series,
 )
+from grouptensor import groups as groups_module
 from grouptensor.groups import (
     FiniteGroup,
-    SubgroupHandle,
     full_subgroup,
     relabeled,
     trivial_subgroup,
@@ -123,20 +126,72 @@ def test_subgroup_generated():
     assert subgroup_generated(c4, [2]).order == 2
 
 
-def test_normal_subgroups_are_filtered_once_per_group(monkeypatch):
+def test_normal_subgroups_are_computed_once_per_group(monkeypatch):
     calls = []
-    is_normal = SubgroupHandle.is_normal
+    closure = groups_module.closure
 
-    def counted(handle):
-        calls.append(handle)
-        return is_normal(handle)
+    def counted(group, gens):
+        calls.append(gens)
+        return closure(group, gens)
 
-    monkeypatch.setattr(SubgroupHandle, "is_normal", counted)
+    monkeypatch.setattr(groups_module, "closure", counted)
     d8 = dihedral(8)
     first = normal_subgroups(d8)
-    assert len(calls) == len(all_subgroups(d8)) == 10
-    assert normal_subgroups(d8) == first and len(first) == 6
-    assert len(calls) == 10
+    assert len(first) == 6 and calls
+    made = len(calls)
+    assert normal_subgroups(d8) == first
+    assert len(calls) == made
+
+
+def _shuffled(group, seed):
+    rest = list(range(1, group.order))
+    random.Random(seed).shuffle(rest)
+    return relabeled(group, [0] + rest)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["C1", "S3", "D8", "Q8", "A4", "D12", "C2xC4", "Q16", "S4", "D24", "C2xQ8", "C2xD8", "E2^4",
+     "D32", "C2xC2xD8"],
+)
+def test_normal_subgroups_match_the_normal_filter(spec):
+    for group in (group_from_spec(spec), _shuffled(group_from_spec(spec), 7)):
+        oracle = [h for h in all_subgroups(group) if h.is_normal()]
+        assert normal_subgroups(group) == oracle, spec
+
+
+def test_normal_subgroups_above_order_32():
+    assert [h.order for h in normal_subgroups(group_from_spec("A5"))] == [1, 60]
+    # 1, C3 and S3 in either factor, C3xC3, S3xC3, C3xS3, (C3xC3):C2, S3xS3
+    assert [h.order for h in normal_subgroups(group_from_spec("S3xS3"))] == [
+        1, 3, 3, 6, 6, 9, 18, 18, 18, 36,
+    ]
+
+
+_PRODUCTS = [("S3", "C2"), ("C3", "S3"), ("Q8", "C2"), ("C4", "D8"), ("A4", "C2"), ("S3", "S3")]
+_DECOMPOSABLE = ["D12", "D20"]
+_INDECOMPOSABLE = ["S3", "D8", "Q8", "A4", "D16", "Q16", "S4", "D24", "D32"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(
+        [("x".join(p), True) for p in _PRODUCTS]
+        + [(spec, True) for spec in _DECOMPOSABLE]
+        + [(spec, False) for spec in _INDECOMPOSABLE]
+    ),
+    st.integers(0, 2**32),
+)
+def test_direct_factors_exactly_when_a_product(case, seed):
+    spec, decomposable = case
+    group = _shuffled(group_from_spec(spec), seed)
+    factors = direct_factors(group)
+    assert (factors is not None) == decomposable, spec
+    if factors is not None:
+        n, m = factors
+        assert 1 < n.order <= m.order and n.is_normal() and m.is_normal()
+        assert set(n.elements) & set(m.elements) == {0}
+        assert {group.mul[x][y] for x in n.elements for y in m.elements} == set(group.elements())
 
 
 def test_subgroup_generated_idempotent():

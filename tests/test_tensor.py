@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -22,8 +23,14 @@ from grouptensor import (
     todd_coxeter,
 )
 from grouptensor import tensor as tensor_module
+from grouptensor.coset_enum import DEFAULT_MAX_COSETS
 from grouptensor.errors import ConsistencyError, LimitError
-from grouptensor.groups import full_subgroup, subgroup_as_group, trivial_subgroup
+from grouptensor.groups import (
+    SubgroupHandle,
+    direct_factors,
+    relabeled,
+    trivial_subgroup,
+)
 from grouptensor.specs import group_from_spec
 
 CORPUS_12 = [
@@ -64,8 +71,28 @@ def enumerated(group):
 
 def decomposed(group):
     """(order, trivial) by the direct-product decomposition, even for abelian groups."""
-    data = tensor_module._product(group, *(tensor_square(f) for f in group.factors))
+    data = tensor_module._product(group, *direct_factors(group), DEFAULT_MAX_COSETS)
     return data.order, data.trivial
+
+
+def shuffled(group, seed=1):
+    rest = list(range(1, group.order))
+    random.Random(seed).shuffle(rest)
+    return relabeled(group, [0] + rest)
+
+
+def enumerated_orders(monkeypatch):
+    """Orders of the groups whose squares are enumerated from now on, memo cleared."""
+    monkeypatch.setattr(tensor_module, "_tensor_cache", {})
+    orders = []
+    presentation = tensor_module.tensor_square_presentation
+
+    def counted(group):
+        orders.append(group.order)
+        return presentation(group)
+
+    monkeypatch.setattr(tensor_module, "tensor_square_presentation", counted)
+    return orders
 
 
 def test_tensor_square_matches_oracle_exactly(groups, tensors):
@@ -77,13 +104,19 @@ def test_tensor_square_matches_oracle_exactly(groups, tensors):
 
 def test_decomposition_matches_enumeration(groups):
     # C2xC2xC2 is abelian, so only `decomposed` takes the product path there;
-    # C1xS3xC2 is (C1xS3)xC2 and recurses into a product factor
-    for spec in ["C3xS3", "S3xC2", "C2xS3", "C2xA4", "C2xC2xC2", "C1xS3xC2"]:
-        g = groups(spec)
+    # the relabelled products and C2xA4/1 are tables with no trace of how
+    # they were built
+    cases = [groups(spec) for spec in ["C3xS3", "S3xC2", "C2xS3", "C2xA4", "C2xC2xC2", "C1xS3xC2"]]
+    cases += [
+        shuffled(groups("C2xS3")),
+        shuffled(groups("C2xA4")),
+        quotient(groups("C2xA4"), trivial_subgroup(groups("C2xA4")))[0],
+    ]
+    for g in cases:
         expected = enumerated(g)
-        assert decomposed(g) == expected, spec
+        assert decomposed(g) == expected, g.name
         data = tensor_square(g)
-        assert (data.order, data.trivial) == expected, spec
+        assert (data.order, data.trivial) == expected, g.name
 
 
 _FACTORS = ["C1", "C2", "C3", "C4", "S3", "C2xC2"]
@@ -95,7 +128,9 @@ def test_two_factor_products_match_enumeration(left, right):
     g = direct_product(group_from_spec(left), group_from_spec(right))
     assume(g.order <= 12)
     expected = enumerated(g)
-    assert decomposed(g) == expected
+    # a C1 factor can leave a table with no decomposition, such as C1xC4
+    if direct_factors(g) is not None:
+        assert decomposed(g) == expected
     data = tensor_square(g)
     assert (data.order, data.trivial) == expected
 
@@ -106,30 +141,28 @@ def test_limit_propagates_with_group_name(groups):
     assert "Q8" in str(err.value)
     with pytest.raises(LimitError) as err:
         tensor_square(group_from_spec("C2xQ8"), max_cosets=5)
-    assert "enumeration for Q8 (factor of C2xQ8) exceeded 5 cosets" in str(err.value)
+    assert "tensor-square enumeration for C2xQ8<8> exceeded 5 cosets" in str(err.value)
 
 
-def test_memo_hit_does_not_change_limit_outcome():
-    # C2xQ8 only enumerates Q8, which peaks at 649 live cosets; the same
-    # table without factors must enumerate all 16 * 2048 cosets, memo or not
+def test_product_tables_take_the_product_path_however_labelled(monkeypatch):
+    # Q8 peaks at 649 live cosets; enumerating C2xQ8 itself needs 16 * 2048
     product = group_from_spec("C2xQ8")
-    same_table = FiniteGroup(product.mul)
-    assert same_table.factors is None
-    assert tensor_square(product, max_cosets=700).order == 2048
-    with pytest.raises(LimitError):
-        tensor_square(same_table, max_cosets=700)
-
-
-def test_trivial_quotient_and_whole_subgroup_keep_factors():
-    product = group_from_spec("C2xQ8")
-    same, proj = quotient(product, trivial_subgroup(product))
-    whole, embed = subgroup_as_group(full_subgroup(product))
-    for group in (same, whole):
-        assert group.mul == product.mul and group.factors == product.factors
-        # so their squares are assembled from Q8's, which fits the cap
+    orders = enumerated_orders(monkeypatch)
+    for group in (shuffled(product), FiniteGroup(product.mul)):
+        tensor_module._tensor_cache.clear()
         assert tensor_square(group, max_cosets=700).order == 2048
-    assert proj == embed == tuple(product.elements())
-    assert quotient(product, center(product))[0].factors is None
+    # each enumerates only its Q8 factor
+    assert orders == [8, 8]
+
+
+def test_product_quotient_takes_the_product_path(monkeypatch):
+    # Q8xC4 over the square of C4 is a C2xQ8 table built by nothing
+    g = group_from_spec("Q8xC4")
+    q, _ = quotient(g, SubgroupHandle(g, (0, 2)))
+    assert q.order == 16 and not q.is_abelian()
+    orders = enumerated_orders(monkeypatch)
+    assert tensor_square(q, max_cosets=700).order == 2048
+    assert orders == [8]
 
 
 def test_products_and_abelian_groups_finish_fast(monkeypatch):

@@ -194,6 +194,16 @@ def test_exceeded_limit_records_skips():
     assert digest == "c228a1d2fe7724bc797d14c9ab2e89ba6d039367f733d78113290ce07326ce73"
 
 
+def test_product_group_report_is_pinned(tmp_path):
+    # Q8xC4's quotients and subgroups are product tables built by nothing;
+    # the report bytes must not depend on which tensor-square path they take
+    path = tmp_path / "corpus.txt"
+    path.write_text("Q8xC4\n", encoding="utf-8")
+    report = run_suite(corpus_from_file(str(path), 32), "all", Config(max_order=32))
+    digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+    assert digest == "8e7b2392b321c653346b2684dd612474f3981247b465a2ccb62442c7d16fcdf7"
+
+
 def test_hypothesis_filtering_in_suite():
     report = run_suite(builtin_corpus(8), "all", Config(max_order=8))
     abelian = {"C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8",
