@@ -427,8 +427,7 @@ def spanning_tree(
     g = parent * X[i] for the letter ``i + 1`` and parent * X[i]^-1 for
     ``-(i + 1)``, letters tried in the order ``+1, -1, +2, -2, ...``.
     """
-    cached = group._cache.get("spanning_tree")
-    if cached is None:
+    def make():
         order = element_orders(group)
         gens = tuple(
             sorted(
@@ -450,8 +449,9 @@ def spanning_tree(
                     seen.add(g)
                     frontier.append(g)
                     tree.append((g, parent, letter))
-        cached = group._cache["spanning_tree"] = (gens, tuple(tree))
-    return cached
+        return gens, tuple(tree)
+
+    return group.cached("spanning_tree", make)
 
 
 def generating_set(group: FiniteGroup) -> tuple[int, ...]:

@@ -14,13 +14,16 @@ import random
 from dataclasses import dataclass
 from itertools import permutations, product
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .errors import SpecError
 
-# Orders above this are rejected outright; the enumeration machinery is meant
-# for desk-scale groups.
+# The default order bound for building groups from specs and direct products;
+# a caller may pass a larger one.  Quotient projections are checked to be
+# homomorphisms up to this order.
 HARD_MAX_ORDER = 64
+
+T = TypeVar("T")
 
 # Exhaustive associativity checking up to this order, random sampling beyond.
 _ASSOC_EXHAUSTIVE_LIMIT = 64
@@ -80,22 +83,21 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
+    def cached(self, key: str, make: Callable[[], T]) -> T:
+        """``make()``, computed once per group and key; nothing is kept if it raises."""
+        if key not in self._cache:
+            self._cache[key] = make()
+        return self._cache[key]
+
     def is_abelian(self) -> bool:
-        cached = self._cache.get("abelian")
-        if cached is None:
-            cached = all(
-                self.mul[a][b] == self.mul[b][a]
-                for a in range(self.order)
-                for b in range(a + 1, self.order)
-            )
-            self._cache["abelian"] = cached
-        return cached
+        return self.cached("abelian", lambda: all(
+            self.mul[a][b] == self.mul[b][a]
+            for a in range(self.order)
+            for b in range(a + 1, self.order)
+        ))
 
     def exponent(self) -> int:
-        cached = self._cache.get("exponent")
-        if cached is None:
-            cached = self._cache["exponent"] = lcm(*map(self.element_order, self.elements()))
-        return cached
+        return self.cached("exponent", lambda: lcm(*map(self.element_order, self.elements())))
 
     def with_labels(self, labels: dict[str, int]) -> "FiniteGroup":
         """Same group, different generator labels (tables are shared)."""
@@ -110,14 +112,11 @@ class FiniteGroup:
 
     def table_key(self) -> bytes:
         """Canonical byte key of the multiplication table (used for memo caches)."""
-        cached = self._cache.get("table_key")
-        if cached is None:
-            cached = self._cache["table_key"] = b"".join(
-                bytes([x]) if self.order <= 256 else x.to_bytes(2, "big")
-                for row in self.mul
-                for x in row
-            )
-        return cached
+        return self.cached("table_key", lambda: b"".join(
+            bytes([x]) if self.order <= 256 else x.to_bytes(2, "big")
+            for row in self.mul
+            for x in row
+        ))
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -467,9 +466,10 @@ def all_subgroups(group: FiniteGroup, max_order: int = 32) -> list[SubgroupHandl
         raise SpecError(
             f"subgroup enumeration limited to order {max_order}, group has {group.order}"
         )
-    cached = group._cache.get("all_subgroups")
-    if cached is not None:
-        return list(cached)
+    return list(group.cached("all_subgroups", lambda: _cyclic_extensions(group)))
+
+
+def _cyclic_extensions(group: FiniteGroup) -> tuple[SubgroupHandle, ...]:
     found: set[tuple[int, ...]] = {(0,)}
     for g in range(1, group.order):
         found.add(closure(group, (g,)))
@@ -488,12 +488,10 @@ def all_subgroups(group: FiniteGroup, max_order: int = 32) -> list[SubgroupHandl
                     found.add(ext)
                     new.append(ext)
         frontier = new
-    handles = [
+    return tuple(
         SubgroupHandle(group, elems)
         for elems in sorted(found, key=lambda e: (len(e), e))
-    ]
-    group._cache["all_subgroups"] = tuple(handles)
-    return list(handles)
+    )
 
 
 def normal_subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
@@ -503,22 +501,23 @@ def normal_subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
     and the join of normal A and C is the set AC.  So joining class closures
     onto every subgroup found, until nothing new appears, finds them all.
     """
-    cached = group._cache.get("normal_subgroups")
-    if cached is None:
-        mul, elements = group.mul, group.elements()
-        classes = {frozenset(conjugate(group, x, g) for x in elements) for g in elements}
-        closures = {frozenset(closure(group, c)) for c in classes}
-        found, frontier = set(), closures | {frozenset((0,))}
-        while frontier:
-            found |= frontier
-            frontier = {
-                frozenset(mul[x][y] for x in a for y in c)
-                for a in frontier for c in closures if not c <= a
-            } - found
-        cached = group._cache["normal_subgroups"] = tuple(
-            SubgroupHandle(group, e) for e in sorted(map(sorted, found), key=lambda e: (len(e), e))
-        )
-    return list(cached)
+    return list(group.cached("normal_subgroups", lambda: _normal_lattice(group)))
+
+
+def _normal_lattice(group: FiniteGroup) -> tuple[SubgroupHandle, ...]:
+    mul, elements = group.mul, group.elements()
+    classes = {frozenset(conjugate(group, x, g) for x in elements) for g in elements}
+    closures = {frozenset(closure(group, c)) for c in classes}
+    found, frontier = set(), closures | {frozenset((0,))}
+    while frontier:
+        found |= frontier
+        frontier = {
+            frozenset(mul[x][y] for x in a for y in c)
+            for a in frontier for c in closures if not c <= a
+        } - found
+    return tuple(
+        SubgroupHandle(group, e) for e in sorted(map(sorted, found), key=lambda e: (len(e), e))
+    )
 
 
 def direct_factors(group: FiniteGroup) -> Optional[tuple[SubgroupHandle, SubgroupHandle]]:
@@ -542,16 +541,12 @@ def centralizer(group: FiniteGroup, x: int) -> SubgroupHandle:
 
 
 def center(group: FiniteGroup) -> SubgroupHandle:
-    cached = group._cache.get("center")
-    if cached is None:
-        mul = group.mul
-        elems = tuple(
-            a
-            for a in group.elements()
-            if all(mul[a][x] == mul[x][a] for x in group.elements())
-        )
-        cached = group._cache["center"] = SubgroupHandle(group, elems)
-    return cached
+    mul = group.mul
+    return group.cached("center", lambda: SubgroupHandle(group, (
+        a
+        for a in group.elements()
+        if all(mul[a][x] == mul[x][a] for x in group.elements())
+    )))
 
 
 def commutator_subgroup(
@@ -563,12 +558,9 @@ def commutator_subgroup(
 
 
 def derived_subgroup(group: FiniteGroup) -> SubgroupHandle:
-    cached = group._cache.get("derived")
-    if cached is None:
-        cached = group._cache["derived"] = commutator_subgroup(
-            group, full_subgroup(group), full_subgroup(group)
-        )
-    return cached
+    return group.cached("derived", lambda: commutator_subgroup(
+        group, full_subgroup(group), full_subgroup(group)
+    ))
 
 
 def quotient(
@@ -624,9 +616,10 @@ def image_subgroup(
 
 def upper_central_series(group: FiniteGroup) -> list[SubgroupHandle]:
     """Z0 = 1 <= Z1 = Z(G) <= ... until the series stabilizes."""
-    cached = group._cache.get("ucs")
-    if cached is not None:
-        return list(cached)
+    return list(group.cached("ucs", lambda: _upper_central_terms(group)))
+
+
+def _upper_central_terms(group: FiniteGroup) -> tuple[SubgroupHandle, ...]:
     series = [trivial_subgroup(group)]
     while True:
         prev = series[-1]
@@ -638,8 +631,7 @@ def upper_central_series(group: FiniteGroup) -> list[SubgroupHandle]:
         if nxt == prev.elements:
             break
         series.append(SubgroupHandle(group, nxt))
-    group._cache["ucs"] = tuple(series)
-    return series
+    return tuple(series)
 
 
 def nilpotency_class(group: FiniteGroup) -> Optional[int]:
@@ -652,12 +644,9 @@ def nilpotency_class(group: FiniteGroup) -> Optional[int]:
 
 
 def element_orders(group: FiniteGroup) -> tuple[int, ...]:
-    cached = group._cache.get("element_orders")
-    if cached is None:
-        cached = group._cache["element_orders"] = tuple(
-            group.element_order(a) for a in group.elements()
-        )
-    return cached
+    return group.cached("element_orders", lambda: tuple(
+        group.element_order(a) for a in group.elements()
+    ))
 
 
 def prime_factors(n: int) -> list[int]:

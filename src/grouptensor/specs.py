@@ -114,7 +114,8 @@ def build_group(spec: GroupSpec, max_order: int = HARD_MAX_ORDER) -> FiniteGroup
 
     Single-term specs keep the family's bare labels (``a``, ``b``, ``s1``,
     ``e1``, ...); in products each term's labels get the 1-based term position
-    appended, so "C2xC4" has generators ``a1`` and ``a2``.
+    appended, so "C2xC4" has generators ``a1`` and ``a2``.  Each term and
+    each partial product above ``max_order`` is a SpecError.
     """
     groups = [_build_term(f, n, p, max_order) for f, n, p in spec.terms]
     if len(groups) == 1:
@@ -127,10 +128,6 @@ def build_group(spec: GroupSpec, max_order: int = HARD_MAX_ORDER) -> FiniteGroup
         built = relabeled[0]
         for g in relabeled[1:]:
             built = direct_product(built, g, max_order=max_order)
-    if built.order > max_order:
-        raise SpecError(
-            f"group {spec.render()} has order {built.order}, above the max {max_order}"
-        )
     built.name = spec.render()
     return built
 

@@ -255,17 +255,16 @@ def _pullback_series(
     group: FiniteGroup, data: TensorSquareData
 ) -> list[SubgroupHandle]:
     """[Z0 = 1, Z1 = Z-tensor, Z2, ...] up to stabilization (cached on the group)."""
-    cached = group._cache.get("tensor_ucs")
-    if cached is not None:
-        return list(cached)
-    zt = tensor_center(group, data)
-    q, proj = quotient(group, zt)
-    classical = upper_central_series(q)  # Z0(Q) = 1, Z1(Q) = Z(Q), ...
-    series = [SubgroupHandle(group, (0,))]
-    for img in classical:
-        series.append(SubgroupHandle(group, (g for g in group.elements() if proj[g] in img)))
-    group._cache["tensor_ucs"] = tuple(series)
-    return series
+
+    def make():
+        q, proj = quotient(group, tensor_center(group, data))
+        classical = upper_central_series(q)  # Z0(Q) = 1, Z1(Q) = Z(Q), ...
+        return (SubgroupHandle(group, (0,)),) + tuple(
+            SubgroupHandle(group, (g for g in group.elements() if proj[g] in img))
+            for img in classical
+        )
+
+    return list(group.cached("tensor_ucs", make))
 
 
 def _direct_tensor_central(

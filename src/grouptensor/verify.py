@@ -2,8 +2,13 @@
 
 Each named check evaluates one published-style statement (an inequality or
 equality between exact rationals) on every applicable instance drawn from a
-corpus entry: all subgroups, all normal subgroups with the required
-containments, and a configurable range of degree indices.  Checks are
+corpus entry.  Most checks share one of four domains (once per group, per
+degree index n, per subgroup H and n, per pair N <= H with N normal in G,
+optionally with n) and keep the members their hypotheses admit.  An instance
+holds the live ``SubgroupHandle``s of its subgroups; the record stores their
+element tuples.  One rule covers a tensor square that overflows its coset
+limit: every check that reads it has the one empty instance, whose record is
+skipped, in the suite and in ``check_theorem`` alike.  Checks are
 evaluations, not axioms: a violated statement is reported with a complete
 witness instead of aborting, while structural inconsistencies (a tensor
 centralizer failing to be a subgroup, say) raise hard errors.  Reports are
@@ -16,8 +21,9 @@ from __future__ import annotations
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property, partial
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -197,8 +203,6 @@ class EntryContext:
             store[key] = make()
         return store[key]
 
-    # -- tensor-square dependent artifacts --------------------------------
-
     @property
     def tensor(self) -> TensorSquareData:
         """The tensor square; an overflow is enumerated once and then re-raised."""
@@ -218,52 +222,28 @@ class EntryContext:
             return True
         return False
 
-    @property
+    @cached_property
     def ztensor(self) -> SubgroupHandle:
         return tensor_center(self.group, self.tensor)
 
-    @property
+    @cached_property
     def tclass(self) -> Optional[int]:
         return tensor_class(self.group, self.tensor)
 
-    def zn_tensor(self, n: int) -> SubgroupHandle:
-        return tensor_upper_central(self.group, self.tensor, n)
+    @cached_property
+    def full(self) -> SubgroupHandle:
+        return full_subgroup(self.group)
 
     def dn(self, h: SubgroupHandle, n: int) -> Fraction:
         return self._memo(
             "dn", (h.elements, n), lambda: rel_n_tensor_degree(self.group, self.tensor, h, n)
         )
 
-    def dn_full(self, n: int) -> Fraction:
-        return self.dn(self.full, n)
-
-    # -- plain group artifacts ---------------------------------------------
-
-    @property
-    def full(self) -> SubgroupHandle:
-        return full_subgroup(self.group)
-
-    @property
-    def subgroups(self) -> list[SubgroupHandle]:
-        return all_subgroups(self.group)
-
-    @property
-    def normals(self) -> list[SubgroupHandle]:
-        return normal_subgroups(self.group)
-
-    def handle(self, elems: Sequence[int]) -> SubgroupHandle:
-        return SubgroupHandle(self.group, elems)
-
     def d_inner(self, h: SubgroupHandle) -> Fraction:
         """Commuting probability inside a subgroup, computed in the parent table."""
         mul = self.group.mul
-        hits = sum(
-            1 for a in h.elements for b in h.elements if mul[a][b] == mul[b][a]
-        )
+        hits = sum(1 for a in h.elements for b in h.elements if mul[a][b] == mul[b][a])
         return Fraction(hits, h.order * h.order)
-
-    def hg_commutator(self, h: SubgroupHandle) -> SubgroupHandle:
-        return self._memo("hg", h.elements, lambda: commutator_subgroup(self.group, h, self.full))
 
     def plain_quotient(self, n_handle: SubgroupHandle):
         """(Q, proj) without any tensor enumeration."""
@@ -272,10 +252,7 @@ class EntryContext:
     def tensor_quotient(self, n_handle: SubgroupHandle):
         """(Q, proj, tensor square of Q); may raise LimitError."""
         q, proj = self.plain_quotient(n_handle)
-        return q, proj, self._memo(
-            "tensor", n_handle.elements,
-            lambda: tensor_square(q, max_cosets=self.config.max_cosets),
-        )
+        return q, proj, tensor_square(q, max_cosets=self.config.max_cosets)
 
     def k_quotient(self, h: SubgroupHandle):
         """H / (H n Z-tensor) as a standalone group with its tensor square.
@@ -285,10 +262,10 @@ class EntryContext:
         built per conjugacy class of subgroups, keyed by its least member.
         """
         group = self.group
-        key = min(
+        key = self._memo("k_key", h.elements, lambda: min(
             tuple(sorted(conjugate(group, x, e) for e in h.elements))
             for x in group.elements()
-        )
+        ))
 
         def make():
             inter = sorted(set(h.elements) & self.ztensor._set)
@@ -301,30 +278,55 @@ class EntryContext:
 
 
 # ---------------------------------------------------------------------------
-# Instance generation and evaluation, one pair of functions per check id.
-# An evaluator returns only what varies: ``lhs``, ``rhs`` and, where they
-# apply, ``relation`` (default "le"), a computed ``variant``, ``witness`` and
+# Checks.  A check is its instances and one evaluator.  Most checks take
+# their instances from a shared domain (once, per n, per subgroup and n, per
+# pair N <= H with N normal) and keep those a filter admits; an instance
+# holds the live handles of its ``subgroup`` and ``normal``.  An evaluator
+# returns only what varies: ``lhs``, ``rhs`` and, where they apply,
+# ``relation`` (default "le"), a computed ``variant``, ``witness`` and
 # ``note``; ``_evaluate`` builds the record.
 # ---------------------------------------------------------------------------
 
 
-def _gen_thm_1_1(ctx: EntryContext) -> list[dict]:
-    out = []
-    for h in ctx.subgroups:
-        for n in ctx.normals:
-            if n <= h:
-                out.append({"subgroup": h.elements, "normal": n.elements})
-    return out
+def _once(ctx: EntryContext) -> list[dict]:
+    return [{}]
+
+
+def _per_n(ctx: EntryContext) -> list[dict]:
+    return [{"n": n} for n in ctx.config.n_values]
+
+
+def _per_subgroup_n(ctx: EntryContext, proper: bool = False) -> list[dict]:
+    """Every subgroup, or every proper one, with every n."""
+    return [
+        {"subgroup": h, "n": n}
+        for h in all_subgroups(ctx.group)
+        if not (proper and h.order == ctx.group.order)
+        for n in ctx.config.n_values
+    ]
+
+
+def _per_pair(ctx: EntryContext, with_n: bool = False) -> list[dict]:
+    """Every subgroup H with every normal subgroup of G inside it, and with
+    every n if asked."""
+    pairs = [
+        {"subgroup": h, "normal": nh}
+        for h in all_subgroups(ctx.group)
+        for nh in normal_subgroups(ctx.group)
+        if nh <= h
+    ]
+    if not with_n:
+        return pairs
+    return [{**pair, "n": n} for pair in pairs for n in ctx.config.n_values]
 
 
 def _eval_thm_1_1(ctx: EntryContext, inst: dict) -> dict:
-    h = ctx.handle(inst["subgroup"])
-    n = ctx.handle(inst["normal"])
+    h, n = inst["subgroup"], inst["normal"]
     lhs = rel_comm_degree(ctx.group, h)
     q, proj = ctx.plain_quotient(n)
     hq = image_subgroup(h, proj, q)
     rhs = rel_comm_degree(q, hq) * ctx.d_inner(n)
-    hg = ctx.hg_commutator(h)
+    hg = ctx._memo("hg", h.elements, lambda: commutator_subgroup(ctx.group, h, ctx.full))
     equality_case = len(n._set & hg._set) == 1
     return {
         "lhs": lhs,
@@ -374,12 +376,6 @@ def _eval_thm_1_2(ctx: EntryContext, inst: dict) -> dict:
     }
 
 
-def _gen_thm_1_3(ctx: EntryContext) -> list[dict]:
-    if ctx.group.is_abelian() or ctx.ztensor.order != 1:
-        return []
-    return [{}]
-
-
 def _eval_thm_1_3(ctx: EntryContext, inst: dict) -> dict:
     p = smallest_prime_divisor(ctx.group.order)
     assert p is not None
@@ -391,34 +387,22 @@ def _eval_thm_1_3(ctx: EntryContext, inst: dict) -> dict:
 
 
 def _gen_lem_2_1(ctx: EntryContext) -> list[dict]:
-    out = []
-    group = ctx.group
-    zt = ctx.ztensor
-    mul = group.mul
-    for h in ctx.subgroups:
-        out.append({"subgroup": h.elements, "variant": "index-bound"})
-        prod = {mul[a][z] for a in h.elements for z in zt.elements}
-        if len(prod) == group.order:
-            out.append({"subgroup": h.elements, "variant": "product-equality"})
+    mul, zt, out = ctx.group.mul, ctx.ztensor.elements, []
+    for h in all_subgroups(ctx.group):
+        out.append({"subgroup": h, "variant": "index-bound"})
+        if len({mul[a][z] for a in h.elements for z in zt}) == ctx.group.order:
+            out.append({"subgroup": h, "variant": "product-equality"})
     return out
 
 
-def _lem_2_1_ratios(ctx: EntryContext, h: SubgroupHandle) -> list[Fraction]:
-    group = ctx.group
+def _eval_lem_2_1(ctx: EntryContext, inst: dict) -> dict:
+    group, h = ctx.group, inst["subgroup"]
     trivial = ctx.tensor.trivial
     ratios = []
     for x in group.elements():
         col = [a for a in group.elements() if trivial[a][x]]
-        c_size = len(col)
-        ch_size = len(set(col) & h._set)
         # [H : C n H] / [G : C]
-        ratios.append(Fraction(h.order * c_size, ch_size * group.order))
-    return ratios
-
-
-def _eval_lem_2_1(ctx: EntryContext, inst: dict) -> dict:
-    h = ctx.handle(inst["subgroup"])
-    ratios = _lem_2_1_ratios(ctx, h)
+        ratios.append(Fraction(h.order * len(col), len(h._set.intersection(col)) * group.order))
     one = Fraction(1)
     if inst["variant"] == "index-bound":
         worst = max(range(len(ratios)), key=lambda x: (ratios[x], -x))
@@ -434,31 +418,22 @@ def _eval_lem_2_1(ctx: EntryContext, inst: dict) -> dict:
     }
 
 
-def _gen_per_subgroup_n(ctx: EntryContext) -> list[dict]:
-    return [
-        {"subgroup": h.elements, "n": n}
-        for h in ctx.subgroups
-        for n in ctx.config.n_values
-    ]
-
-
 def _eval_thm_2_2(ctx: EntryContext, inst: dict) -> dict:
-    h = ctx.handle(inst["subgroup"])
-    n = inst["n"]
+    h, n = inst["subgroup"], inst["n"]
     index = Fraction(ctx.group.order, h.order)
+    dn_full = ctx.dn(ctx.full, n)
     return {
         "lhs": ctx.dn(h, n),
-        "rhs": index ** (n + 1) * ctx.dn_full(n),
+        "rhs": index ** (n + 1) * dn_full,
         "witness": {
             "index": format_fraction(index),
-            "dn_full": format_fraction(ctx.dn_full(n)),
+            "dn_full": format_fraction(dn_full),
         },
     }
 
 
 def _eval_thm_2_3(ctx: EntryContext, inst: dict) -> dict:
-    h = ctx.handle(inst["subgroup"])
-    n = inst["n"]
+    h, n = inst["subgroup"], inst["n"]
     lhs = ctx.dn(h, n + 1)
     k, tk = ctx.k_quotient(h)
     inner = rel_n_tensor_degree(k, tk, full_subgroup(k), n)
@@ -473,14 +448,10 @@ def _eval_thm_2_3(ctx: EntryContext, inst: dict) -> dict:
     }
 
 
-def _gen_per_n(ctx: EntryContext) -> list[dict]:
-    return [{"n": n} for n in ctx.config.n_values]
-
-
 def _eval_thm_2_5(ctx: EntryContext, inst: dict) -> dict:
     n = inst["n"]
-    lhs = ctx.dn_full(n + 1)
-    zn = ctx.zn_tensor(n)
+    lhs = ctx.dn(ctx.full, n + 1)
+    zn = tensor_upper_central(ctx.group, ctx.tensor, n)
     q, _, tq = ctx.tensor_quotient(zn)
     inner = tensor_degree(q, tq)
     return {
@@ -494,23 +465,13 @@ def _eval_thm_2_5(ctx: EntryContext, inst: dict) -> dict:
     }
 
 
-def _gen_thm_2_6(ctx: EntryContext) -> list[dict]:
-    c = ctx.tclass
-    return [{"n": n} for n in ctx.config.n_values if c is None or c > n]
-
-
 def _eval_thm_2_6(ctx: EntryContext, inst: dict) -> dict:
     n = inst["n"]
     return {
-        "lhs": ctx.dn_full(n),
+        "lhs": ctx.dn(ctx.full, n),
         "rhs": Fraction(2 ** (n + 2) - 3, 2 ** (n + 2)),
         "witness": {"tensor_class": ctx.tclass},
     }
-
-
-def _gen_lem_2_7(ctx: EntryContext) -> list[dict]:
-    c = ctx.tclass
-    return [{"n": n} for n in ctx.config.n_values if c is not None and c <= n]
 
 
 def _eval_lem_2_7(ctx: EntryContext, inst: dict) -> dict:
@@ -523,32 +484,21 @@ def _eval_lem_2_7(ctx: EntryContext, inst: dict) -> dict:
     }
 
 
-def _gen_thm_2_8(ctx: EntryContext) -> list[dict]:
-    if ctx.group.order == 1 or center(ctx.group).order != 1:
-        return []
-    return [{"n": n} for n in ctx.config.n_values]
-
-
 def _eval_thm_2_8(ctx: EntryContext, inst: dict) -> dict:
     n = inst["n"]
     return {
-        "lhs": ctx.dn_full(n),
+        "lhs": ctx.dn(ctx.full, n),
         "rhs": Fraction(2**n - 1, 2**n),
         "witness": {"center_order": 1},
     }
 
 
-def _gen_thm_3cases(ctx: EntryContext) -> list[dict]:
-    return [inst for inst in _gen_per_subgroup_n(ctx) if len(inst["subgroup"]) < ctx.group.order]
-
-
 def _eval_thm_3cases(ctx: EntryContext, inst: dict) -> dict:
-    h = ctx.handle(inst["subgroup"])
-    n = inst["n"]
+    h, n = inst["subgroup"], inst["n"]
     lhs = ctx.dn(h, n)
-    zn = ctx.zn_tensor(n)
+    zn = tensor_upper_central(ctx.group, ctx.tensor, n)
     witness_extra: dict = {}
-    if set(h.elements) <= zn._set:
+    if h <= zn:
         variant = "case-i"
         rhs, relation = Fraction(1), "eq"
     else:
@@ -570,15 +520,9 @@ def _eval_thm_3cases(ctx: EntryContext, inst: dict) -> dict:
     }
 
 
-def _gen_thm_quot(ctx: EntryContext) -> list[dict]:
-    return [{**inst, "n": n} for inst in _gen_thm_1_1(ctx) for n in ctx.config.n_values]
-
-
 def _eval_thm_quot(ctx: EntryContext, inst: dict) -> dict:
-    h = ctx.handle(inst["subgroup"])
-    nh = ctx.handle(inst["normal"])
-    n = inst["n"]
-    q, proj, tq = ctx.tensor_quotient(nh)
+    h, n = inst["subgroup"], inst["n"]
+    q, proj, tq = ctx.tensor_quotient(inst["normal"])
     hq = image_subgroup(h, proj, q)
     return {
         "lhs": ctx.dn(h, n),
@@ -587,20 +531,9 @@ def _eval_thm_quot(ctx: EntryContext, inst: dict) -> dict:
     }
 
 
-def _gen_sanity_erl(ctx: EntryContext) -> list[dict]:
-    return [] if ctx.group.is_abelian() else [{}]
-
-
-def _eval_sanity_erl(ctx: EntryContext, inst: dict) -> dict:
-    return {"lhs": rel_comm_degree(ctx.group, ctx.full), "rhs": Fraction(5, 8)}
-
-
-def _gen_sanity_lescot(ctx: EntryContext) -> list[dict]:
-    return [] if nilpotency_class(ctx.group) is not None else [{}]
-
-
-def _eval_sanity_lescot(ctx: EntryContext, inst: dict) -> dict:
-    return {"lhs": rel_comm_degree(ctx.group, ctx.full), "rhs": Fraction(1, 2)}
+def _eval_sanity(rhs: Fraction, ctx: EntryContext, inst: dict) -> dict:
+    """The commuting probability of G against a sanity bound."""
+    return {"lhs": rel_comm_degree(ctx.group, ctx.full), "rhs": rhs}
 
 
 def _gen_ex_3_1(ctx: EntryContext) -> list[dict]:
@@ -615,19 +548,17 @@ def _eval_ex_3_1(ctx: EntryContext, inst: dict) -> dict:
     if inst["variant"] == "tensor-center-trivial":
         return {"lhs": Fraction(ctx.ztensor.order), "rhs": Fraction(1), "relation": "eq"}
     n = inst["n"]
-    return {"lhs": ctx.dn_full(n), "rhs": Fraction(2**n - 1, 2**n)}
+    return {"lhs": ctx.dn(ctx.full, n), "rhs": Fraction(2**n - 1, 2**n)}
 
 
 def _gen_ex_3_2(ctx: EntryContext) -> list[dict]:
     if ctx.spec != "C4":
         return []
-    h = subgroup_generated(ctx.group, [ctx.group.power(1, 2)])
-    return [{"subgroup": h.elements, "n": 2}]
+    return [{"subgroup": subgroup_generated(ctx.group, [ctx.group.power(1, 2)]), "n": 2}]
 
 
 def _eval_ex_3_2(ctx: EntryContext, inst: dict) -> dict:
-    h = ctx.handle(inst["subgroup"])
-    return {"lhs": ctx.dn(h, inst["n"]), "rhs": Fraction(1), "relation": "eq"}
+    return {"lhs": ctx.dn(inst["subgroup"], inst["n"]), "rhs": Fraction(1), "relation": "eq"}
 
 
 EX_3_3_REFERENCE = Fraction(192, 2048)
@@ -636,13 +567,11 @@ EX_3_3_REFERENCE = Fraction(192, 2048)
 def _gen_ex_3_3(ctx: EntryContext) -> list[dict]:
     if ctx.spec != "D8":
         return []
-    h = subgroup_from_words(ctx.group, "a^2,a*b")
-    return [{"subgroup": h.elements, "n": 4}]
+    return [{"subgroup": subgroup_from_words(ctx.group, "a^2,a*b"), "n": 4}]
 
 
 def _eval_ex_3_3(ctx: EntryContext, inst: dict) -> dict:
-    h = ctx.handle(inst["subgroup"])
-    lhs = ctx.dn(h, inst["n"])
+    lhs = ctx.dn(inst["subgroup"], inst["n"])
     return {
         "lhs": lhs,
         "rhs": EX_3_3_REFERENCE,
@@ -662,29 +591,37 @@ def _eval_ex_3_3(ctx: EntryContext, inst: dict) -> dict:
 
 
 class Check(NamedTuple):
-    """One registry record: a check's instances, their evaluation, and whether
-    the check reads the tensor square (those that do not survive its overflow)."""
+    """One registry record: a check's instances (those of ``generate`` that
+    ``keep`` admits), their evaluation, and whether the check reads the
+    tensor square (those that do not survive its overflow)."""
 
     generate: Callable[[EntryContext], list[dict]]
     evaluate: Callable[[EntryContext, dict], dict]
     needs_tensor: bool = True
+    keep: Callable[[EntryContext, dict], bool] = lambda ctx, inst: True
 
 
 CHECKS: dict[str, Check] = {
-    "thm-1.1": Check(_gen_thm_1_1, _eval_thm_1_1, needs_tensor=False),
+    "thm-1.1": Check(_per_pair, _eval_thm_1_1, needs_tensor=False),
     "thm-1.2": Check(_gen_thm_1_2, _eval_thm_1_2),
-    "thm-1.3": Check(_gen_thm_1_3, _eval_thm_1_3),
+    "thm-1.3": Check(_once, _eval_thm_1_3, keep=lambda ctx, inst: (
+        not ctx.group.is_abelian() and ctx.ztensor.order == 1)),
     "lem-2.1": Check(_gen_lem_2_1, _eval_lem_2_1),
-    "thm-2.2": Check(_gen_per_subgroup_n, _eval_thm_2_2),
-    "thm-2.3": Check(_gen_per_subgroup_n, _eval_thm_2_3),
-    "thm-2.5": Check(_gen_per_n, _eval_thm_2_5),
-    "thm-2.6": Check(_gen_thm_2_6, _eval_thm_2_6),
-    "lem-2.7": Check(_gen_lem_2_7, _eval_lem_2_7),
-    "thm-2.8": Check(_gen_thm_2_8, _eval_thm_2_8),
-    "thm-3cases": Check(_gen_thm_3cases, _eval_thm_3cases),
-    "thm-quot": Check(_gen_thm_quot, _eval_thm_quot),
-    "sanity-erl": Check(_gen_sanity_erl, _eval_sanity_erl, needs_tensor=False),
-    "sanity-lescot": Check(_gen_sanity_lescot, _eval_sanity_lescot, needs_tensor=False),
+    "thm-2.2": Check(_per_subgroup_n, _eval_thm_2_2),
+    "thm-2.3": Check(_per_subgroup_n, _eval_thm_2_3),
+    "thm-2.5": Check(_per_n, _eval_thm_2_5),
+    "thm-2.6": Check(_per_n, _eval_thm_2_6, keep=lambda ctx, inst: (
+        ctx.tclass is None or ctx.tclass > inst["n"])),
+    "lem-2.7": Check(_per_n, _eval_lem_2_7, keep=lambda ctx, inst: (
+        ctx.tclass is not None and ctx.tclass <= inst["n"])),
+    "thm-2.8": Check(_per_n, _eval_thm_2_8, keep=lambda ctx, inst: (
+        ctx.group.order > 1 and center(ctx.group).order == 1)),
+    "thm-3cases": Check(partial(_per_subgroup_n, proper=True), _eval_thm_3cases),
+    "thm-quot": Check(partial(_per_pair, with_n=True), _eval_thm_quot),
+    "sanity-erl": Check(_once, partial(_eval_sanity, Fraction(5, 8)), needs_tensor=False,
+                        keep=lambda ctx, inst: not ctx.group.is_abelian()),
+    "sanity-lescot": Check(_once, partial(_eval_sanity, Fraction(1, 2)), needs_tensor=False,
+                           keep=lambda ctx, inst: nilpotency_class(ctx.group) is None),
     "ex-3.1": Check(_gen_ex_3_1, _eval_ex_3_1),
     "ex-3.2": Check(_gen_ex_3_2, _eval_ex_3_2),
     "ex-3.3": Check(_gen_ex_3_3, _eval_ex_3_3),
@@ -693,20 +630,31 @@ ALL_CHECK_IDS = tuple(CHECKS)
 THEOREM_IDS = tuple(check_id for check_id in CHECKS if not check_id.startswith("ex-"))
 
 
-def _evaluate(ctx: EntryContext, check_id: str, inst: dict) -> TheoremCheck:
-    """The record of one instance: evaluated, or skipped when a limit is hit.
+def _instances(ctx: EntryContext, check_id: str) -> list[dict]:
+    """The instances of one check on one group.
 
-    An empty instance of a check that needs an overflowing tensor square
-    yields the one skipped record for the whole check.
+    A check that needs an overflowing tensor square has the one empty
+    instance, whose record is the check's one skipped record.
     """
     check = CHECKS[check_id]
-    where = {
-        "id": check_id,
-        "group": ctx.spec,
-        "subgroup": inst.get("subgroup"),
-        "normal": inst.get("normal"),
+    if check.needs_tensor and ctx.tensor_overflows():
+        return [{}]
+    return [inst for inst in check.generate(ctx) if check.keep(ctx, inst)]
+
+
+def _where(inst: dict) -> dict:
+    """The record fields that locate an instance."""
+    return {
+        "subgroup": inst["subgroup"].elements if "subgroup" in inst else None,
+        "normal": inst["normal"].elements if "normal" in inst else None,
         "n": inst.get("n"),
     }
+
+
+def _evaluate(ctx: EntryContext, check_id: str, inst: dict) -> TheoremCheck:
+    """The record of one instance: evaluated, or skipped when a limit is hit."""
+    check = CHECKS[check_id]
+    where = {"id": check_id, "group": ctx.spec, **_where(inst)}
     try:
         if check.needs_tensor:
             ctx.tensor  # re-raises an overflow before the evaluator reads inst
@@ -735,48 +683,30 @@ def check_theorem(
 
     ``instance`` carries at least ``group`` (a spec string) plus whatever the
     check consumes: ``subgroup`` and ``normal`` as element-index sequences,
-    ``n``, ``variant``.  An instance whose hypotheses fail yields a skipped
-    record, not a failure; so does one whose tensor square overflows.
+    ``n``, ``variant``.  It is looked up among the instances the suite
+    evaluates on that group; a computed variant (one the evaluator stamps on
+    the record rather than reading from the instance) is ignored when the
+    suite's instance carries none.  An instance whose hypotheses fail yields
+    a skipped record, not a failure; so does one whose tensor square
+    overflows, and that record keeps the caller's subgroup, normal and n.
     """
     if check_id not in CHECKS:
         raise SpecError(f"unknown check id {check_id!r}")
-    check = CHECKS[check_id]
     spec = instance["group"]
     ctx = EntryContext(spec, group_from_spec(spec), config or Config())
-    inst = {
-        key: (tuple(value) if key in ("subgroup", "normal") else value)
-        for key, value in instance.items()
-        if key != "group"
-    }
-    if check.needs_tensor and ctx.tensor_overflows():
-        return _evaluate(ctx, check_id, inst)
-    matched = _match_instance(inst, check.generate(ctx))
-    if matched is None:
-        return TheoremCheck(
-            id=check_id,
-            group=spec,
-            subgroup=inst.get("subgroup"),
-            normal=inst.get("normal"),
-            n=inst.get("n"),
-            skipped=True,
-            note="hypothesis-not-met",
-        )
-    return _evaluate(ctx, check_id, matched)
-
-
-def _match_instance(inst: dict, applicable: list[dict]) -> Optional[dict]:
-    """Find the generated instance the caller is asking about, if any.
-
-    A computed variant (one the evaluator stamps on the record rather than
-    reading from the instance) may be present in ``inst``; it is ignored when
-    the generated instance does not carry one.
-    """
-    for cand in applicable:
-        if all(inst.get(k) == cand.get(k) for k in ("subgroup", "normal", "n")) and (
-            cand.get("variant") in (None, inst.get("variant"))
-        ):
-            return cand
-    return None
+    where = {key: instance.get(key) for key in ("subgroup", "normal", "n")}
+    for key in ("subgroup", "normal"):
+        if where[key] is not None:
+            where[key] = tuple(where[key])
+    variant = instance.get("variant")
+    for inst in _instances(ctx, check_id):
+        matched = _where(inst) == where and inst.get("variant") in (None, variant)
+        if matched or not inst:
+            record = _evaluate(ctx, check_id, inst)
+            # an overflow's one skipped record stands for every instance
+            if matched or record.skipped:
+                return replace(record, **where)
+    return TheoremCheck(id=check_id, group=spec, **where, skipped=True, note="hypothesis-not-met")
 
 
 def evaluate_entry(
@@ -784,15 +714,11 @@ def evaluate_entry(
 ) -> list[TheoremCheck]:
     """All checks for one corpus entry; the unit of parallel work."""
     ctx = EntryContext(entry.spec, entry.group, config)
-    checks: list[TheoremCheck] = []
-    for check_id in check_ids:
-        check = CHECKS[check_id]
-        if check.needs_tensor and ctx.tensor_overflows():
-            instances = [{}]
-        else:
-            instances = check.generate(ctx)
-        checks.extend(_evaluate(ctx, check_id, inst) for inst in instances)
-    return checks
+    return [
+        _evaluate(ctx, check_id, inst)
+        for check_id in check_ids
+        for inst in _instances(ctx, check_id)
+    ]
 
 
 @dataclass
@@ -824,11 +750,7 @@ class VerificationReport:
         writer.writerow(columns)
         for check in self.checks:
             row = check.to_dict()
-            writer.writerow(
-                [
-                    _csv_cell(row.get(col)) for col in columns
-                ]
-            )
+            writer.writerow([_csv_cell(row.get(col)) for col in columns])
         return buf.getvalue()
 
     def to_table(self) -> str:
@@ -861,13 +783,10 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
     def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.to_json()
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "table":
-            return self.to_table()
-        raise SpecError(f"unknown output format {fmt!r}")
+        renderers = {"json": self.to_json, "csv": self.to_csv, "table": self.to_table}
+        if fmt not in renderers:
+            raise SpecError(f"unknown output format {fmt!r}")
+        return renderers[fmt]()
 
 
 def _csv_cell(value) -> str:

@@ -1,6 +1,16 @@
+import os
+
 import pytest
 
+import grouptensor
 from grouptensor import group_from_spec, tensor_square
+
+# subprocess tests run ``python -m grouptensor``: children import the same
+# source tree as this process, with or without PYTHONPATH set by the caller
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(grouptensor.__file__)))
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    part for part in (_SRC, os.environ.get("PYTHONPATH")) if part
+)
 
 
 @pytest.fixture(scope="session")

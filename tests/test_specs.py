@@ -56,6 +56,13 @@ def test_build_errors():
         group_from_spec("C100")
 
 
+def test_max_order_is_a_default_bound():
+    # every term of C8xC16 is small, but the product exceeds the default 64
+    with pytest.raises(SpecError, match="128"):
+        group_from_spec("C8xC16")
+    assert group_from_spec("C8xC16", max_order=128).order == 128
+
+
 def test_build_products_relabel_positionally():
     g = group_from_spec("C2xC4")
     assert set(g.generator_labels) == {"a1", "a2"}

@@ -262,6 +262,25 @@ def test_violations_have_witnesses_and_reproduce():
         assert again.holds is False
 
 
+@pytest.mark.parametrize(
+    "config",
+    [Config(max_order=8), Config(max_order=8, max_cosets=4)],
+    ids=["default", "capped"],
+)
+def test_check_theorem_reproduces_every_suite_record(config):
+    # the suite and a single re-check share one instance path: every record,
+    # passing, failing, flagged or skipped, comes back byte for byte
+    report = run_suite(builtin_corpus(8), "all", config)
+    assert report.checks
+    for check in report.checks:
+        instance = {"group": check.group}
+        for key in ("subgroup", "normal", "n", "variant"):
+            value = getattr(check, key)
+            if value is not None:
+                instance[key] = list(value) if key in ("subgroup", "normal") else value
+        assert check_theorem(check.id, instance, config).to_dict() == check.to_dict()
+
+
 def test_known_violation_instances():
     # d_{2}(C2) = 1 exceeds (1 + d_1(C2)) / 2 = 7/8
     c = check_theorem("thm-2.3", {"group": "C2", "subgroup": [0, 1], "n": 1})
