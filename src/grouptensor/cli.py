@@ -29,7 +29,7 @@ from .groups import (
     nilpotency_class,
 )
 from .specs import group_from_spec, subgroup_from_words
-from .tensor import tensor_square, tensor_summary
+from .tensor import j2_order, tensor_center, tensor_class, tensor_square
 from .verify import (
     Config,
     builtin_corpus,
@@ -58,12 +58,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_tensor(args: argparse.Namespace) -> int:
     group = group_from_spec(args.spec, max_order=args.max_order)
     data = tensor_square(group, max_cosets=args.max_cosets)
-    info = tensor_summary(group, data)
     print(f"group: {group.name}")
-    print(f"tensor square order: {info['tensor_square_order']}")
-    print(f"J2 order: {info['j2_order']}")
-    print(f"tensor center order: {info['tensor_center_order']}")
-    cls = info["tensor_class"]
+    print(f"tensor square order: {data.order}")
+    print(f"J2 order: {j2_order(group, data)}")
+    print(f"tensor center order: {tensor_center(group, data).order}")
+    cls = tensor_class(group, data)
     print(f"tensor class: {cls if cls is not None else 'none'}")
     if args.dump_table:
         none = "(no table: the tensor square was not enumerated)"

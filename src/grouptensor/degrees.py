@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import LimitError
-from .groups import FiniteGroup, SubgroupHandle, commutator, iterated_commutator
+from .groups import FiniteGroup, SubgroupHandle, commutator, full_subgroup, iterated_commutator
 from .tensor import TensorSquareData
 
 NAIVE_TUPLE_LIMIT = 10**7
@@ -60,8 +60,6 @@ def rel_comm_degree(group: FiniteGroup, h: SubgroupHandle) -> Fraction:
 
 
 def comm_degree(group: FiniteGroup) -> Fraction:
-    from .groups import full_subgroup
-
     return rel_comm_degree(group, full_subgroup(group))
 
 
@@ -128,6 +126,4 @@ def tensor_degree(group: FiniteGroup, data: TensorSquareData) -> Fraction:
 
 
 def n_tensor_degree(group: FiniteGroup, data: TensorSquareData, n: int) -> Fraction:
-    from .groups import full_subgroup
-
     return rel_n_tensor_degree(group, data, full_subgroup(group), n)

@@ -25,6 +25,9 @@ HARD_MAX_ORDER = 64
 
 T = TypeVar("T")
 
+# Subgroup enumeration (``all_subgroups``) refuses larger groups.
+SUBGROUP_MAX_ORDER = 32
+
 # Exhaustive associativity checking up to this order, random sampling beyond.
 _ASSOC_EXHAUSTIVE_LIMIT = 64
 
@@ -455,66 +458,56 @@ def full_subgroup(group: FiniteGroup) -> SubgroupHandle:
     return SubgroupHandle(group, range(group.order))
 
 
-def all_subgroups(group: FiniteGroup, max_order: int = 32) -> list[SubgroupHandle]:
-    """All subgroups, by cyclic-extension closure.
-
-    Seeds with every cyclic subgroup, then repeatedly adjoins one element and
-    closes until no new subgroup appears.  Complete because any subgroup is a
-    chain of one-element extensions of a cyclic subgroup.
-    """
-    if group.order > max_order:
+def all_subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
+    """All subgroups, as the joins of cyclic subgroups, up to ``SUBGROUP_MAX_ORDER``."""
+    if group.order > SUBGROUP_MAX_ORDER:
         raise SpecError(
-            f"subgroup enumeration limited to order {max_order}, group has {group.order}"
+            f"subgroup enumeration limited to order {SUBGROUP_MAX_ORDER}, group has {group.order}"
         )
-    return list(group.cached("all_subgroups", lambda: _cyclic_extensions(group)))
-
-
-def _cyclic_extensions(group: FiniteGroup) -> tuple[SubgroupHandle, ...]:
-    found: set[tuple[int, ...]] = {(0,)}
-    for g in range(1, group.order):
-        found.add(closure(group, (g,)))
-    frontier = sorted(found)
-    while frontier:
-        new = []
-        for elems in frontier:
-            if len(elems) == group.order:
-                continue
-            inside = set(elems)
-            for g in range(1, group.order):
-                if g in inside:
-                    continue
-                ext = closure(group, elems + (g,))
-                if ext not in found:
-                    found.add(ext)
-                    new.append(ext)
-        frontier = new
-    return tuple(
-        SubgroupHandle(group, elems)
-        for elems in sorted(found, key=lambda e: (len(e), e))
-    )
+    return list(group.cached("all_subgroups", lambda: _joins(
+        group,
+        {frozenset(closure(group, (g,))) for g in group.elements()},
+        lambda a, c: frozenset(closure(group, a | c)),
+    )))
 
 
 def normal_subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
     """All normal subgroups, in the order of ``all_subgroups``, at any order.
 
     Each is the join of the normal closures of the conjugacy classes in it,
-    and the join of normal A and C is the set AC.  So joining class closures
-    onto every subgroup found, until nothing new appears, finds them all.
+    and the join of normal A and C is the set AC.
     """
-    return list(group.cached("normal_subgroups", lambda: _normal_lattice(group)))
-
-
-def _normal_lattice(group: FiniteGroup) -> tuple[SubgroupHandle, ...]:
     mul, elements = group.mul, group.elements()
-    classes = {frozenset(conjugate(group, x, g) for x in elements) for g in elements}
-    closures = {frozenset(closure(group, c)) for c in classes}
-    found, frontier = set(), closures | {frozenset((0,))}
+
+    def make():
+        classes = {frozenset(conjugate(group, x, g) for x in elements) for g in elements}
+        return _joins(
+            group,
+            {frozenset(closure(group, c)) for c in classes},
+            lambda a, c: frozenset(mul[x][y] for x in a for y in c),
+        )
+
+    return list(group.cached("normal_subgroups", make))
+
+
+def _joins(
+    group: FiniteGroup,
+    atoms: set[frozenset[int]],
+    join: Callable[[frozenset[int], frozenset[int]], frozenset[int]],
+) -> tuple[SubgroupHandle, ...]:
+    """Every join of atoms, one of which is the trivial subgroup, ordered by
+    size and then by elements.
+
+    Joins the atoms onto each newly found subgroup until nothing new appears,
+    so each join of k atoms is found from a join of k - 1.  With the cyclic
+    subgroups as atoms this is every subgroup, since a subgroup is the join
+    of the cyclic subgroups of its elements; with the normal closures of the
+    conjugacy classes it is every normal subgroup, for the same reason.
+    """
+    found, frontier = set(), atoms
     while frontier:
         found |= frontier
-        frontier = {
-            frozenset(mul[x][y] for x in a for y in c)
-            for a in frontier for c in closures if not c <= a
-        } - found
+        frontier = {join(a, c) for a in frontier for c in atoms if not c <= a} - found
     return tuple(
         SubgroupHandle(group, e) for e in sorted(map(sorted, found), key=lambda e: (len(e), e))
     )
@@ -608,39 +601,35 @@ def subgroup_as_group(h: SubgroupHandle) -> tuple[FiniteGroup, tuple[int, ...]]:
     return g, elems
 
 
-def image_subgroup(
-    h: SubgroupHandle, proj: tuple[int, ...], target: FiniteGroup
-) -> SubgroupHandle:
-    return SubgroupHandle(target, {proj[x] for x in h.elements})
-
-
 def upper_central_series(group: FiniteGroup) -> list[SubgroupHandle]:
     """Z0 = 1 <= Z1 = Z(G) <= ... until the series stabilizes."""
-    return list(group.cached("ucs", lambda: _upper_central_terms(group)))
+    return list(group.cached("ucs", lambda: upper_central_from(group, [trivial_subgroup(group)])))
 
 
-def _upper_central_terms(group: FiniteGroup) -> tuple[SubgroupHandle, ...]:
-    series = [trivial_subgroup(group)]
+def upper_central_from(
+    group: FiniteGroup, series: list[SubgroupHandle]
+) -> tuple[SubgroupHandle, ...]:
+    """``series`` extended by Z(i+1) = {a : [a, g] in Z(i) for every g} until
+    a step adds nothing; the terms given are kept as they are."""
+    elements = group.elements()
     while True:
         prev = series[-1]
         nxt = tuple(
-            a
-            for a in group.elements()
-            if all(commutator(group, a, g) in prev for g in group.elements())
+            a for a in elements if all(commutator(group, a, g) in prev for g in elements)
         )
         if nxt == prev.elements:
-            break
+            return tuple(series)
         series.append(SubgroupHandle(group, nxt))
-    return tuple(series)
 
 
 def nilpotency_class(group: FiniteGroup) -> Optional[int]:
     """Smallest c with Z_c(G) = G, or None if the series stalls below G."""
-    series = upper_central_series(group)
-    for i, term in enumerate(series):
-        if term.order == group.order:
-            return i
-    return None
+    return series_class(upper_central_series(group))
+
+
+def series_class(series: Sequence[SubgroupHandle]) -> Optional[int]:
+    """Index of the first term that is the whole group, or None."""
+    return next((c for c, term in enumerate(series) if term.order == term.parent.order), None)
 
 
 def element_orders(group: FiniteGroup) -> tuple[int, ...]:

@@ -44,13 +44,13 @@ from .errors import ConsistencyError, LimitError, SpecError
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
-    center,
     derived_subgroup,
     direct_factors,
     iterated_commutator,
     quotient,
+    series_class,
     subgroup_as_group,
-    upper_central_series,
+    upper_central_from,
 )
 
 
@@ -226,19 +226,18 @@ def j2_order(group: FiniteGroup, data: TensorSquareData) -> int:
 def tensor_upper_central(
     group: FiniteGroup, data: TensorSquareData, n: int
 ) -> SubgroupHandle:
-    """n-th term of the tensor upper central series.
+    """n-th term of the tensor upper central series (``_pullback_series``).
 
-    Computed by pulling the classical (n-1)-th center of G / Z-tensor back
-    through the projection.  For n <= 3 the direct definition (all tuples
-    ``[a, x1, ..., x(n-1)] (x) xn`` trivial) is evaluated as well, once per
-    group and n, and any mismatch is a hard error.
+    For n <= 3 the direct definition (all tuples ``[a, x1, ..., x(n-1)] (x) xn``
+    trivial) is evaluated as well, once per group and n, and any mismatch is
+    a hard error.
     """
     if n < 1:
         raise ValueError("series index must be >= 1")
     series = _pullback_series(group, data)
     term = series[n] if n < len(series) else series[-1]
     # the series is cached on the group, so one cross-check per term suffices
-    checked = group._cache.setdefault("tensor_ucs_checked", set())
+    checked = group.cached("tensor_ucs_checked", set)
     if n <= 3 and n not in checked:
         direct = _direct_tensor_central(group, data, n)
         if direct != term.elements:
@@ -253,18 +252,17 @@ def tensor_upper_central(
 
 def _pullback_series(
     group: FiniteGroup, data: TensorSquareData
-) -> list[SubgroupHandle]:
-    """[Z0 = 1, Z1 = Z-tensor, Z2, ...] up to stabilization (cached on the group)."""
+) -> tuple[SubgroupHandle, ...]:
+    """[Z0 = 1, Z1 = Z-tensor, Z2, ...] up to stabilization (cached on the group).
 
-    def make():
-        q, proj = quotient(group, tensor_center(group, data))
-        classical = upper_central_series(q)  # Z0(Q) = 1, Z1(Q) = Z(Q), ...
-        return (SubgroupHandle(group, (0,)),) + tuple(
-            SubgroupHandle(group, (g for g in group.elements() if proj[g] in img))
-            for img in classical
-        )
-
-    return list(group.cached("tensor_ucs", make))
+    For n >= 1, Z(n+1)-tensor is the preimage of Z_n(G / Z-tensor) under the
+    projection.  The preimage of Z_k(G/N) is {a : [a, g] lies in the preimage
+    of Z_(k-1)(G/N) for all g}, so the classical step, run in G from
+    Z-tensor, gives the series.
+    """
+    return group.cached("tensor_ucs", lambda: upper_central_from(
+        group, [SubgroupHandle(group, (0,)), tensor_center(group, data)]
+    ))
 
 
 def _direct_tensor_central(
@@ -280,21 +278,4 @@ def _direct_tensor_central(
 
 def tensor_class(group: FiniteGroup, data: TensorSquareData) -> Optional[int]:
     """Smallest c with Z_c-tensor = G, or None; 0 only for the trivial group."""
-    if group.order == 1:
-        return 0
-    series = _pullback_series(group, data)
-    for c, term in enumerate(series):
-        if term.order == group.order:
-            return c
-    return None
-
-
-def tensor_summary(group: FiniteGroup, data: TensorSquareData) -> dict:
-    """The headline numbers in one place (used by the command line front end)."""
-    return {
-        "tensor_square_order": data.order,
-        "j2_order": j2_order(group, data),
-        "tensor_center_order": tensor_center(group, data).order,
-        "tensor_class": tensor_class(group, data),
-        "center_order": center(group).order,
-    }
+    return series_class(_pullback_series(group, data))

@@ -27,13 +27,8 @@ from functools import cached_property, partial
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .degrees import (
-    format_decimal,
-    format_fraction,
-    rel_comm_degree,
-    rel_n_tensor_degree,
-    tensor_degree,
-)
+from .coset_enum import DEFAULT_MAX_COSETS
+from .degrees import format_decimal, format_fraction, rel_comm_degree, rel_n_tensor_degree
 from .errors import LimitError, SpecError
 from .groups import (
     FiniteGroup,
@@ -43,7 +38,6 @@ from .groups import (
     commutator_subgroup,
     conjugate,
     full_subgroup,
-    image_subgroup,
     nilpotency_class,
     normal_subgroups,
     quotient,
@@ -69,7 +63,7 @@ DISCREPANCY_NOTE = "paper-example-discrepancy"
 class Config:
     """Suite configuration; the computation-relevant fields are echoed into reports."""
 
-    max_cosets: int = 1_000_000
+    max_cosets: int = DEFAULT_MAX_COSETS
     max_order: int = 16
     n_values: tuple[int, ...] = (1, 2, 3, 4)
     jobs: int = 1
@@ -187,7 +181,8 @@ class TheoremCheck:
 
 
 class EntryContext:
-    """Shared artifacts for all checks on one corpus group."""
+    """Shared artifacts for all checks on one corpus group, or on a quotient
+    they read (``quotient``, ``k_quotient``), which is named after its group."""
 
     def __init__(self, spec: str, group: FiniteGroup, config: Config) -> None:
         self.spec = spec
@@ -239,23 +234,34 @@ class EntryContext:
             "dn", (h.elements, n), lambda: rel_n_tensor_degree(self.group, self.tensor, h, n)
         )
 
+    def comm(self, h: SubgroupHandle) -> Fraction:
+        return self._memo("comm", h.elements, lambda: rel_comm_degree(self.group, h))
+
     def d_inner(self, h: SubgroupHandle) -> Fraction:
         """Commuting probability inside a subgroup, computed in the parent table."""
         mul = self.group.mul
         hits = sum(1 for a in h.elements for b in h.elements if mul[a][b] == mul[b][a])
         return Fraction(hits, h.order * h.order)
 
-    def plain_quotient(self, n_handle: SubgroupHandle):
-        """(Q, proj) without any tensor enumeration."""
-        return self._memo("quotient", n_handle.elements, lambda: quotient(self.group, n_handle))
+    def quotient(self, n: SubgroupHandle) -> tuple["EntryContext", tuple[int, ...]]:
+        """The context of G/N and the projection onto it; G/N's tensor square
+        is enumerated only when read."""
 
-    def tensor_quotient(self, n_handle: SubgroupHandle):
-        """(Q, proj, tensor square of Q); may raise LimitError."""
-        q, proj = self.plain_quotient(n_handle)
-        return q, proj, tensor_square(q, max_cosets=self.config.max_cosets)
+        def make():
+            q, proj = quotient(self.group, n)
+            return EntryContext(q.name, q, self.config), proj
 
-    def k_quotient(self, h: SubgroupHandle):
-        """H / (H n Z-tensor) as a standalone group with its tensor square.
+        return self._memo("quotient", n.elements, make)
+
+    def image(self, h: SubgroupHandle, n: SubgroupHandle) -> tuple["EntryContext", SubgroupHandle]:
+        """The context of G/N and the image of H in it, built once per pair."""
+        qc, proj = self.quotient(n)
+        return qc, self._memo("image", (h.elements, n.elements), lambda: SubgroupHandle(
+            qc.group, {proj[x] for x in h.elements}
+        ))
+
+    def k_quotient(self, h: SubgroupHandle) -> "EntryContext":
+        """The context of K = H / (H n Z-tensor), taken as a standalone group.
 
         Z-tensor is normal, so conjugate subgroups give isomorphic quotients,
         and callers read only isomorphism invariants of them: one quotient is
@@ -272,7 +278,7 @@ class EntryContext:
             hgrp, embed = subgroup_as_group(h)
             pos = {e: i for i, e in enumerate(embed)}
             k, _ = quotient(hgrp, SubgroupHandle(hgrp, [pos[e] for e in inter]))
-            return k, tensor_square(k, max_cosets=self.config.max_cosets)
+            return EntryContext(k.name, k, self.config)
 
         return self._memo("k_quotient", key, make)
 
@@ -322,10 +328,9 @@ def _per_pair(ctx: EntryContext, with_n: bool = False) -> list[dict]:
 
 def _eval_thm_1_1(ctx: EntryContext, inst: dict) -> dict:
     h, n = inst["subgroup"], inst["normal"]
-    lhs = rel_comm_degree(ctx.group, h)
-    q, proj = ctx.plain_quotient(n)
-    hq = image_subgroup(h, proj, q)
-    rhs = rel_comm_degree(q, hq) * ctx.d_inner(n)
+    lhs = ctx.comm(h)
+    qc, hq = ctx.image(h, n)
+    rhs = qc.comm(hq) * ctx.d_inner(n)
     hg = ctx._memo("hg", h.elements, lambda: commutator_subgroup(ctx.group, h, ctx.full))
     equality_case = len(n._set & hg._set) == 1
     return {
@@ -351,8 +356,8 @@ def _eval_thm_1_2(ctx: EntryContext, inst: dict) -> dict:
     group = ctx.group
     p = smallest_prime_divisor(group.order)
     assert p is not None
-    d = rel_comm_degree(group, ctx.full)
-    dt = tensor_degree(group, ctx.tensor)
+    d = ctx.comm(ctx.full)
+    dt = ctx.dn(ctx.full, 1)
     j2 = j2_order(group, ctx.tensor)
     zt_order = ctx.ztensor.order
     z_order = center(group).order
@@ -380,7 +385,7 @@ def _eval_thm_1_3(ctx: EntryContext, inst: dict) -> dict:
     p = smallest_prime_divisor(ctx.group.order)
     assert p is not None
     return {
-        "lhs": tensor_degree(ctx.group, ctx.tensor),
+        "lhs": ctx.dn(ctx.full, 1),
         "rhs": Fraction(1, p),
         "witness": {"smallest_prime": p},
     }
@@ -435,13 +440,13 @@ def _eval_thm_2_2(ctx: EntryContext, inst: dict) -> dict:
 def _eval_thm_2_3(ctx: EntryContext, inst: dict) -> dict:
     h, n = inst["subgroup"], inst["n"]
     lhs = ctx.dn(h, n + 1)
-    k, tk = ctx.k_quotient(h)
-    inner = rel_n_tensor_degree(k, tk, full_subgroup(k), n)
+    kc = ctx.k_quotient(h)
+    inner = kc.dn(kc.full, n)
     return {
         "lhs": lhs,
         "rhs": Fraction(1, 2) * (1 + inner),
         "witness": {
-            "k_order": k.order,
+            "k_order": kc.group.order,
             "k_degree": format_fraction(inner),
             "lhs_degree_index": n + 1,
         },
@@ -452,8 +457,8 @@ def _eval_thm_2_5(ctx: EntryContext, inst: dict) -> dict:
     n = inst["n"]
     lhs = ctx.dn(ctx.full, n + 1)
     zn = tensor_upper_central(ctx.group, ctx.tensor, n)
-    q, _, tq = ctx.tensor_quotient(zn)
-    inner = tensor_degree(q, tq)
+    qc, _ = ctx.quotient(zn)
+    inner = qc.dn(qc.full, 1)
     return {
         "lhs": lhs,
         "rhs": Fraction(2**n - 1, 2**n) + inner / 2**n,
@@ -502,9 +507,9 @@ def _eval_thm_3cases(ctx: EntryContext, inst: dict) -> dict:
         variant = "case-i"
         rhs, relation = Fraction(1), "eq"
     else:
-        k, tk = ctx.k_quotient(h)
-        c = tensor_class(k, tk)
-        witness_extra = {"k_order": k.order, "k_tensor_class": c}
+        kc = ctx.k_quotient(h)
+        c = kc.tclass
+        witness_extra = {"k_order": kc.group.order, "k_tensor_class": c}
         if c is not None and c <= n - 1:
             variant = "case-ii"
             rhs, relation = Fraction(1), "eq"
@@ -522,18 +527,17 @@ def _eval_thm_3cases(ctx: EntryContext, inst: dict) -> dict:
 
 def _eval_thm_quot(ctx: EntryContext, inst: dict) -> dict:
     h, n = inst["subgroup"], inst["n"]
-    q, proj, tq = ctx.tensor_quotient(inst["normal"])
-    hq = image_subgroup(h, proj, q)
+    qc, hq = ctx.image(h, inst["normal"])
     return {
         "lhs": ctx.dn(h, n),
-        "rhs": rel_n_tensor_degree(q, tq, hq, n),
-        "witness": {"quotient_order": q.order},
+        "rhs": qc.dn(hq, n),
+        "witness": {"quotient_order": qc.group.order},
     }
 
 
 def _eval_sanity(rhs: Fraction, ctx: EntryContext, inst: dict) -> dict:
     """The commuting probability of G against a sanity bound."""
-    return {"lhs": rel_comm_degree(ctx.group, ctx.full), "rhs": rhs}
+    return {"lhs": ctx.comm(ctx.full), "rhs": rhs}
 
 
 def _gen_ex_3_1(ctx: EntryContext) -> list[dict]:

@@ -208,7 +208,14 @@ def test_all_subgroups_counts():
     assert len(normal_subgroups(s3)) == 3
     assert len(all_subgroups(cyclic(6))) == 4
     with pytest.raises(SpecError):
-        all_subgroups(group_from_spec("A5"), max_order=32)
+        all_subgroups(group_from_spec("A5"))
+    # counts known independently of the code: D_2n has tau(n) + sigma(n)
+    # subgroups (D16 4 + 15, D24 6 + 28, D32 5 + 31)
+    for spec, count in [("D16", 19), ("D24", 34), ("D32", 36), ("Q16", 11), ("E2^4", 67),
+                        ("S4", 30)]:
+        group = group_from_spec(spec)
+        for g in (group, _shuffled(group, 11)):
+            assert len(all_subgroups(g)) == count, spec
 
 
 def test_all_subgroups_structure():

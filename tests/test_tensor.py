@@ -247,6 +247,16 @@ def test_tensor_upper_central_series(groups, tensors):
             prev = term
 
 
+@pytest.mark.parametrize("spec", ["D8", "Q8", "D16", "Q16"])
+def test_tensor_upper_central_matches_the_direct_definition(groups, tensors, spec):
+    # the run-time cross-check stops at n = 3
+    g, data = groups(spec), tensors(spec)
+    for n in (1, 2, 3, 4):
+        assert tensor_upper_central(g, data, n).elements == (
+            tensor_module._direct_tensor_central(g, data, n)
+        ), (spec, n)
+
+
 def test_tensor_upper_central_cross_check_once_per_group_and_n(monkeypatch):
     direct = tensor_module._direct_tensor_central
     calls = []

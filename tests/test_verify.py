@@ -94,7 +94,7 @@ def test_conjugate_subgroups_share_one_k_quotient():
     assert len(sylows) == 3
     first = ctx.k_quotient(sylows[0])
     assert all(ctx.k_quotient(h) is first for h in sylows[1:])
-    assert first[0].order == 8 and first[1].order == 32
+    assert first.group.order == 8 and first.tensor.order == 32
 
 
 def test_normalize_check_ids():
@@ -195,13 +195,31 @@ def test_exceeded_limit_records_skips():
 
 
 def test_product_group_report_is_pinned(tmp_path):
-    # Q8xC4's quotients and subgroups are product tables built by nothing;
-    # the report bytes must not depend on which tensor-square path they take
+    # the quotients and subgroups of a product are product tables built by
+    # nothing; the report bytes must not depend on which tensor-square path
+    # they take
     path = tmp_path / "corpus.txt"
-    path.write_text("Q8xC4\n", encoding="utf-8")
-    report = run_suite(corpus_from_file(str(path), 32), "all", Config(max_order=32))
-    digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
-    assert digest == "8e7b2392b321c653346b2684dd612474f3981247b465a2ccb62442c7d16fcdf7"
+    for spec, pinned in [
+        ("Q8xC4", "8e7b2392b321c653346b2684dd612474f3981247b465a2ccb62442c7d16fcdf7"),
+        ("C2xC2xD8", "45b175916eb81a6193d89f66bd569b70b54eb2fd8668ac592805e511e746cc6b"),
+    ]:
+        path.write_text(f"{spec}\n", encoding="utf-8")
+        report = run_suite(corpus_from_file(str(path), 32), "all", Config(max_order=32))
+        assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == pinned, spec
+
+
+@pytest.mark.parametrize(
+    ("max_order", "fmt", "pinned"),
+    [
+        (24, "json", "0039a9e302c7b844fab08832d2f2dc7b255fabd7485535534c248aa50d3fdeee"),
+        (8, "csv", "51fe464c491c907faed7013ef1fc9292053fe17f8850c1cb0c3626bb49b435ce"),
+        (8, "table", "1e60c7552e694e1de0ed538fc18310ccbfca5d12b9e2c8b7841c88a39df97fb8"),
+    ],
+    ids=["json-24", "csv-8", "table-8"],
+)
+def test_report_is_pinned(max_order, fmt, pinned):
+    report = run_suite(builtin_corpus(max_order), "all", Config(max_order=max_order))
+    assert hashlib.sha256(report.render(fmt).encode("utf-8")).hexdigest() == pinned
 
 
 def test_hypothesis_filtering_in_suite():
