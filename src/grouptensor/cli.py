@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Optional, Sequence
 
 from .coset_enum import DEFAULT_MAX_COSETS, dump_table
@@ -57,7 +58,18 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 def _cmd_tensor(args: argparse.Namespace) -> int:
     group = group_from_spec(args.spec, max_order=args.max_order)
+    start = time.perf_counter()
     data = tensor_square(group, max_cosets=args.max_cosets)
+    elapsed = time.perf_counter() - start
+    if args.stats:
+        table = data.table
+        print(
+            f"stats: tensor square {elapsed:.3f} s, defined {table.defined}, "
+            f"peak live {table.peak_live}, cosets {table.coset_count}"
+            if table
+            else "stats: not enumerated",
+            file=sys.stderr,
+        )
     print(f"group: {group.name}")
     print(f"tensor square order: {data.order}")
     print(f"J2 order: {j2_order(group, data)}")
@@ -151,6 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--dump-table",
         action="store_true",
         help="dump the coset table of the tensor-square enumeration",
+    )
+    p_tensor.add_argument(
+        "--stats",
+        action="store_true",
+        help="print the tensor-square time and enumeration counters to stderr",
     )
     p_tensor.set_defaults(func=_cmd_tensor)
 

@@ -20,16 +20,20 @@ remaining HLT steps would only trace closed relators and fill no entry, so
 the table returned is the one HLT would have finished with.  If a relator
 does not close, HLT goes on to the last coset and verifies the final table.
 
-Rows are sparse while enumerating: each coset keeps a dict of its defined
-entries only, so defining a coset costs two entries rather than a row as wide
-as the column count, coincidence processing walks only the entries a dead
-coset has, and a processed dead coset drops its row.  The completed table is
-compacted into dense rows by renumbering the live cosets, without looking
-any entry up in the union-find: once the coincidence queue is empty, live
-rows point only at live cosets.  Every write pairs an entry ``alpha[col] =
-beta`` with its inverse entry ``beta[col ^ 1] = alpha``, and writes go only
-to absent entries, so the pairs stay intact.  Processing a dead coset walks
-its row and so deletes every back-pointer to it, before its row is dropped.
+Rows are dense lists of column-count entries while enumerating, and coset c
+is row c + 1.  Row 0 is a sink whose entries are all 0: an undefined entry
+reads 0, and a trace that reaches the sink stays there, so closed relators
+are traced without an exception path and no live coset is ever row 0.  A
+processed dead coset gives up its row for one shared read-only row of -1
+entries, which holds no 0, so the table is complete exactly when no row after
+the sink holds a 0.  Each relator carries its inverse columns for the
+backward scan.  The completed table is compacted by renumbering the live
+rows through a list, without looking any entry up in the union-find: once
+the coincidence queue is empty, live rows point only at live cosets.  Every
+write pairs an entry ``alpha[col] = beta`` with its inverse entry
+``beta[col ^ 1] = alpha``, and writes go only to undefined entries, so the
+pairs stay intact.  Processing a dead coset walks its row and so clears every
+back-pointer to it, before its row is dropped.
 
 The tensor square is enumerated as part of Rocco's group nu(G), over G
 (``tensor_square_presentation``): rows have 4|X| columns for a small
@@ -44,21 +48,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import islice
 from operator import itemgetter
-from types import MappingProxyType
 from typing import Sequence
 
 from .errors import ConsistencyError, LimitError, SpecError
-from .groups import FiniteGroup, closure, conjugate, element_orders
+from .groups import HARD_MAX_ORDER, FiniteGroup, closure, conjugate, element_orders
 
 DEFAULT_MAX_COSETS = 1_000_000
 
 # The least number of processed cosets between checks whether HLT may stop;
 # the gap grows with the live count, so the checks cost O(1) per coset.
 _CLOSURE_CHECK_MIN = 64
-
-# Above this group order the tensor-square presentation is not attempted.
-TENSOR_PRESENTATION_MAX_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,17 @@ class CosetTable:
     action of generator ``g`` on coset ``c`` and column ``2g + 1`` the action
     of its inverse.  Coset 0 is the subgroup itself.  For an exceeded-limit
     result the rows are absent and ``coset_count`` reports the number of live
-    cosets at the point enumeration stopped.
+    cosets at the point enumeration stopped.  ``defined`` is the number of
+    cosets defined, coset 0 not counted, and ``peak_live`` the largest number
+    of cosets live at once, for either status.
     """
 
     generator_count: int
     coset_count: int
     status: str
     rows: tuple[tuple[int, ...], ...] = field(default=())
+    defined: int = 0
+    peak_live: int = 0
 
     def action(self, coset: int, letter: int) -> int:
         """Apply a signed generator letter to a coset."""
@@ -132,11 +137,12 @@ def todd_coxeter(
     )
     subgroup = [tuple(_column(letter) for letter in word) for word in presentation.subgroup]
 
-    table: list[dict[int, int]] = [{}]
-    parent = [0]  # union-find over cosets; dead cosets point below themselves
-    live = 1
-    # processed dead cosets share one empty row; nothing may write to it
-    dead_row = MappingProxyType({})
+    # while enumerating, coset c is row c + 1 and row 0 is the sink
+    table: list = [[0] * ncols, [0] * ncols]
+    parent = [0, 1]  # union-find over rows; dead rows point below themselves
+    live = peak = 1
+    # processed dead cosets share one read-only row with no 0 entry
+    dead_row = (-1,) * ncols
 
     def rep(c: int) -> int:
         root = c
@@ -151,7 +157,9 @@ def todd_coxeter(
         if live >= max_cosets:
             raise _Overflow
         beta = len(table)
-        table.append({col ^ 1: alpha})
+        row = [0] * ncols
+        row[col ^ 1] = alpha
+        table.append(row)
         parent.append(beta)
         table[alpha][col] = beta
         live += 1
@@ -160,13 +168,15 @@ def todd_coxeter(
     queue: deque[int] = deque()
 
     def merge(a: int, b: int) -> None:
-        nonlocal live
+        nonlocal live, peak
         a, b = rep(a), rep(b)
         if a == b:
             return
         if a > b:
             a, b = b, a
         parent[b] = a
+        if live > peak:
+            peak = live
         live -= 1
         queue.append(b)
 
@@ -176,34 +186,36 @@ def todd_coxeter(
             gamma = queue.popleft()
             row = table[gamma]
             table[gamma] = dead_row
-            for col, delta in row.items():
+            for col, delta in enumerate(row):
+                if not delta:
+                    continue
                 back = table[delta]
-                if back.get(col ^ 1) == gamma:
-                    del back[col ^ 1]
+                if back[col ^ 1] == gamma:
+                    back[col ^ 1] = 0
                 mu, nu = rep(gamma), rep(delta)
-                image = table[mu].get(col)
-                if image is not None:
+                image = table[mu][col]
+                if image:
                     merge(nu, image)
                     continue
-                image = table[nu].get(col ^ 1)
-                if image is not None:
+                image = table[nu][col ^ 1]
+                if image:
                     merge(mu, image)
                 else:
                     table[mu][col] = nu
                     table[nu][col ^ 1] = mu
 
-    def scan_and_fill(alpha: int, word: tuple[int, ...]) -> None:
+    def scan_and_fill(alpha: int, word: tuple[int, ...], inverse: tuple[int, ...]) -> None:
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
         while True:
-            while i <= j and (x := table[f].get(word[i])) is not None:
+            while i <= j and (x := table[f][word[i]]):
                 f = x
                 i += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and (x := table[b].get(word[j] ^ 1)) is not None:
+            while j >= i and (x := table[b][inverse[j]]):
                 b = x
                 j -= 1
             if j < i:
@@ -212,27 +224,30 @@ def todd_coxeter(
                 return
             if j == i:
                 table[f][word[i]] = b
-                table[b][word[i] ^ 1] = f
+                table[b][inverse[i]] = f
                 return
             f = define(f, word[i])
             i += 1
 
     def compacted() -> CosetTable:
-        alive = [c for c in range(len(table)) if parent[c] == c]
-        renum = {old: new for new, old in enumerate(alive)}
+        alive = [r for r in range(1, len(table)) if parent[r] == r]
+        renum = [0] * len(table)
+        for new, old in enumerate(alive):
+            renum[old] = new
         return CosetTable(
             generator_count=presentation.generator_count,
             coset_count=len(alive),
             status=COMPLETED,
-            rows=tuple(
-                tuple(renum[table[old][col]] for col in range(ncols)) for old in alive
-            ),
+            rows=tuple(tuple(map(renum.__getitem__, table[old])) for old in alive),
+            defined=len(table) - 2,
+            peak_live=max(peak, live),
         )
 
     def closed() -> CosetTable | None:
-        # between scans dead rows are empty, so the table is complete exactly
-        # when the live rows hold live * ncols entries
-        if sum(map(len, table)) != live * ncols:
+        # between scans no live row points at a dead coset, and dead rows
+        # hold no 0, so the table is complete exactly when no row but the
+        # sink has an undefined entry
+        if any(0 in row for row in islice(table, 1, None)):
             return None
         result = compacted()
         try:
@@ -241,36 +256,34 @@ def todd_coxeter(
             return None
         return result
 
+    relators = [(word, tuple(col ^ 1 for col in word)) for word in words]
     result = None
     try:
         for word in subgroup:
-            scan_and_fill(0, word)
-        alpha = 0
+            scan_and_fill(1, word, tuple(col ^ 1 for col in word))
+        alpha = 1
         countdown = _CLOSURE_CHECK_MIN
         while result is None and alpha < len(table):
             # live cosets are exactly the union-find roots
             if parent[alpha] != alpha:
                 alpha += 1
                 continue
-            for word in words:
-                # most scans find the relator already closed at alpha
+            for word, inverse in relators:
+                # most scans find the relator already closed at alpha; an
+                # undefined entry leads to the sink, which is never alpha
                 f = alpha
-                try:
-                    for col in word:
-                        f = table[f][col]
-                except KeyError:
-                    pass
-                else:
-                    if f == alpha:
-                        continue
-                scan_and_fill(alpha, word)
+                for col in word:
+                    f = table[f][col]
+                if f == alpha:
+                    continue
+                scan_and_fill(alpha, word, inverse)
                 if parent[alpha] != alpha:
                     break
             else:
                 # definitions never merge cosets, so alpha stays live here
                 row = table[alpha]
                 for col in range(ncols):
-                    if col not in row:
+                    if not row[col]:
                         define(alpha, col)
             alpha += 1
             countdown -= 1
@@ -282,6 +295,8 @@ def todd_coxeter(
             generator_count=presentation.generator_count,
             coset_count=live,
             status=EXCEEDED,
+            defined=len(table) - 2,
+            peak_live=max(peak, live),
         )
 
     if result is None:
@@ -361,10 +376,9 @@ def tensor_square_presentation(group: FiniteGroup) -> Presentation:
     duplicates.  The subgroup words are the letters of X.
     """
     n = group.order
-    if n > TENSOR_PRESENTATION_MAX_ORDER:
+    if n > HARD_MAX_ORDER:
         raise LimitError(
-            f"tensor-square presentation limited to order "
-            f"{TENSOR_PRESENTATION_MAX_ORDER}, group has {n}"
+            f"tensor-square presentation limited to order {HARD_MAX_ORDER}, group has {n}"
         )
     gens, tree = spanning_tree(group)
     m = len(gens)

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -51,6 +52,19 @@ def test_tensor_dump_table(capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
     assert "tensor square order: 1024" in out
     assert "(no table: the tensor square was not enumerated)" in out
+
+
+def test_tensor_stats_go_to_stderr_only(capsys):
+    # D8 enumerates nu(D8): 1,018 cosets defined, at most 533 live, 256 final
+    for spec, stats in [
+        ("D8", r"stats: tensor square \d+\.\d{3} s, defined 1018, peak live 533, cosets 256\n"),
+        ("C2xD8", r"stats: not enumerated\n"),
+    ]:
+        code, plain, err = run_cli(capsys, "tensor", spec)
+        assert code == 0 and err == ""
+        code, out, err = run_cli(capsys, "tensor", spec, "--stats")
+        assert code == 0 and out == plain
+        assert re.fullmatch(stats, err), err
 
 
 def test_degree_c4_subgroup(capsys):

@@ -382,11 +382,15 @@ def _counting_verify(monkeypatch):
 
 
 # sha256 of repr(rows) for the nu presentations below, as the enumerator
-# that ran HLT to the last coset returned them
+# that ran HLT to the last coset returned them; a seed names a relabelling
 EARLY_STOP_ROWS = {
-    "D16": "7e8816bb7fc6ae1e2de84c69ac6b6ffe92dd3bdc0ddfa4d5617a1972afca3528",
-    "S4": "d8e8255ac5235a2f5d7b622272af0978d1834dc43588541fd4ecd64f48c4bbd8",
-    "D24": "b5e6adc4d07a8897cc09c3b6945cb10905abc8cf2c0353f8d640afcfedfb618e",
+    ("D16", None): "7e8816bb7fc6ae1e2de84c69ac6b6ffe92dd3bdc0ddfa4d5617a1972afca3528",
+    ("S4", None): "d8e8255ac5235a2f5d7b622272af0978d1834dc43588541fd4ecd64f48c4bbd8",
+    ("D24", None): "b5e6adc4d07a8897cc09c3b6945cb10905abc8cf2c0353f8d640afcfedfb618e",
+    ("Q16", None): "044e6ff1e6752fab636576f127d66c4398742127d77a47d476476671677030ab",
+    ("D32", None): "16ac545f755095c258dda314b2ee9613d3a90bfc9de99dffc9f6db164e3db719",
+    ("D16", 1): "6dc8aa04d2ec5b76cf6e17f8441da3024e64fc2a7b71ac59a514ca0e4480c02f",
+    ("S4", 1): "069dd5efb91acd8fbd3fab35bf9edd2016dec20074582cfc5b26c5c5be099a89",
 }
 
 
@@ -394,11 +398,44 @@ def test_early_stop_returns_the_full_hlt_table(monkeypatch):
     # once complete and closed the table is final: the cosets HLT skips would
     # only have traced closed relators; one closure check per enumeration
     outcomes = _counting_verify(monkeypatch)
-    for spec, digest in EARLY_STOP_ROWS.items():
+    for (spec, seed), digest in EARLY_STOP_ROWS.items():
         outcomes.clear()
-        table = todd_coxeter(tensor_square_presentation(group_from_spec(spec)))
-        assert hashlib.sha256(repr(table.rows).encode()).hexdigest() == digest, spec
-        assert outcomes == [True], spec
+        group = group_from_spec(spec)
+        if seed is not None:
+            group = _relabel(group, seed)
+        table = todd_coxeter(tensor_square_presentation(group))
+        assert hashlib.sha256(repr(table.rows).encode()).hexdigest() == digest, (spec, seed)
+        assert outcomes == [True], (spec, seed)
+
+
+@pytest.mark.parametrize(
+    "spec,defined,peak_live",
+    [("D16", 4473, 1446), ("Q16", 3830, 1309), ("S4", 6248, 3476),
+     ("D24", 10352, 3275), ("D32", 19293, 6994)],
+)
+def test_enumeration_counters_pin_the_hlt_work(spec, defined, peak_live):
+    # cosets defined and the peak live count are fixed by the HLT steps
+    # taken, not by how rows are stored
+    table = todd_coxeter(tensor_square_presentation(group_from_spec(spec)))
+    assert (table.defined, table.peak_live) == (defined, peak_live)
+
+
+@pytest.mark.parametrize(
+    "spec,max_cosets,expected",
+    [
+        ("D8", 10, (10, 9, 10)),
+        ("D8", 100, (100, 100, 100)),
+        ("D8", 128, (128, 168, 128)),  # half the index 256
+        ("S4", 10, (10, 9, 10)),
+        ("S4", 100, (100, 99, 100)),
+        ("S4", 576, (576, 588, 576)),  # half the index 1152
+    ],
+)
+def test_overflow_stops_where_hlt_reaches_the_cap(spec, max_cosets, expected):
+    # (coset_count, defined, peak_live) of the exceeded-limit result
+    table = todd_coxeter(tensor_square_presentation(group_from_spec(spec)), max_cosets=max_cosets)
+    assert table.status == EXCEEDED and table.rows == ()
+    assert (table.coset_count, table.defined, table.peak_live) == expected
 
 
 def test_early_stop_falls_back_when_a_complete_table_is_not_closed(monkeypatch):
