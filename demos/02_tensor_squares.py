@@ -9,6 +9,8 @@ the integral tensor square from a cyclic decomposition, and groups whose
 multiplication table is a direct product are assembled from the squares of
 their factors.  The factors are read from the table (``direct_factors``), so
 a relabelled product or a quotient that is a product takes the same path.
+For a group of order 2^k, nu(G) is a 2-group and is built as the largest
+2-quotient of its presentation, a pc presentation of length log2 |nu(G)|.
 """
 
 from grouptensor import (
@@ -59,6 +61,10 @@ for spec in ["C2xD8", "S3xS3", "C2xQ8", "Q8xC4"]:
     n, m = direct_factors(g)
     data = tensor_square(g)
     print(f"{spec:6s} |N| = {n.order:2d}  |M| = {m.order:2d}  |G (x) G| = {data.order}")
+
+print()
+print("== a 2-group from the largest 2-quotient of nu(G), no enumeration ==")
+print(f"D64    |G (x) G| = {tensor_square(group_from_spec('D64')).order}")
 
 print()
 print("== which pairs collapse in the tensor square of the direct product S3xS3? ==")

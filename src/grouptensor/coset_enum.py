@@ -35,6 +35,18 @@ write pairs an entry ``alpha[col] = beta`` with its inverse entry
 pairs stay intact.  Processing a dead coset walks its row and so clears every
 back-pointer to it, before its row is dropped.
 
+So each closure check starts at the first row the previous one found
+incomplete: a row that was complete stays complete while it lives.  A
+definition fills an entry or adds a row at the end.  A coincidence clears an
+entry of a live row alpha only where it points at the dead coset gamma being
+processed, and then records gamma's paired entry, ``gamma[col] = alpha``, at
+``mu = rep(gamma)``.  Either it writes the pair ``mu[col] = alpha``,
+``alpha[col ^ 1] = mu``, which refills alpha's entry, or ``mu[col]`` is some
+coset beta and alpha merges with beta.  Then beta is not alpha, whose entry
+would pair with mu and not with gamma.  If alpha stays live, every other
+coset of its class, beta included, is processed before the queue empties,
+and ``beta[col ^ 1] = mu`` is written back at alpha the same way.
+
 The tensor square is enumerated as part of Rocco's group nu(G), over G
 (``tensor_square_presentation``): rows have 4|X| columns for a small
 generating set X of G, and there are |G| |G (x) G| cosets.
@@ -48,7 +60,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import islice
 from operator import itemgetter
 from typing import Sequence
 
@@ -243,11 +254,18 @@ def todd_coxeter(
             peak_live=max(peak, live),
         )
 
+    first_open = 1
+
     def closed() -> CosetTable | None:
         # between scans no live row points at a dead coset, and dead rows
         # hold no 0, so the table is complete exactly when no row but the
-        # sink has an undefined entry
-        if any(0 in row for row in islice(table, 1, None)):
+        # sink has an undefined entry; rows below first_open were complete
+        # at the last check and still are (see the module docstring)
+        nonlocal first_open
+        first_open = next(
+            (r for r in range(first_open, len(table)) if 0 in table[r]), len(table)
+        )
+        if first_open < len(table):
             return None
         result = compacted()
         try:

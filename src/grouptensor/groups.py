@@ -102,15 +102,25 @@ class FiniteGroup:
     def exponent(self) -> int:
         return self.cached("exponent", lambda: lcm(*map(self.element_order, self.elements())))
 
+    @classmethod
+    def _known(
+        cls, table: tuple[tuple[int, ...], ...], name: str, inv: Optional[tuple[int, ...]] = None
+    ) -> "FiniteGroup":
+        """A group on a table built inside the package from one already
+        known to be a group's, so not validated again."""
+        g = cls.__new__(cls)
+        g.order = len(table)
+        g.mul = table
+        g.inv = inv if inv is not None else _inverse_table(table, len(table))
+        g.name = name
+        g.generator_labels = {}
+        g._cache = {}
+        return g
+
     def with_labels(self, labels: dict[str, int]) -> "FiniteGroup":
         """Same group, different generator labels (tables are shared)."""
-        g = FiniteGroup.__new__(FiniteGroup)
-        g.order = self.order
-        g.mul = self.mul
-        g.inv = self.inv
-        g.name = self.name
+        g = FiniteGroup._known(self.mul, self.name, self.inv)
         g.generator_labels = dict(labels)
-        g._cache = {}
         return g
 
     def table_key(self) -> bytes:
@@ -579,11 +589,9 @@ def quotient(
         for m in members:
             coset_of[m] = idx
     proj = tuple(coset_of[g] for g in group.elements())
-    qmul = [
-        [proj[mul[r1][r2]] for r2 in reps]
-        for r1 in reps
-    ]
-    q = FiniteGroup(qmul, name=f"{group.name}/N{n.order}")
+    # the image of a group under a projection checked below is a group
+    qmul = tuple(tuple(proj[mul[r1][r2]] for r2 in reps) for r1 in reps)
+    q = FiniteGroup._known(qmul, f"{group.name}/N{n.order}")
     if group.order <= HARD_MAX_ORDER:
         for a in group.elements():
             for b in group.elements():
@@ -596,9 +604,9 @@ def subgroup_as_group(h: SubgroupHandle) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Re-index a subgroup as a standalone group; returns (group, embedding)."""
     elems = h.elements
     pos = {e: i for i, e in enumerate(elems)}
-    mul = [[pos[h.parent.mul[a][b]] for b in elems] for a in elems]
-    g = FiniteGroup(mul, name=f"{h.parent.name}<{h.order}>")
-    return g, elems
+    # a handle is closure-checked, so the restricted table is a group's
+    mul = tuple(tuple(pos[h.parent.mul[a][b]] for b in elems) for a in elems)
+    return FiniteGroup._known(mul, f"{h.parent.name}<{h.order}>"), elems
 
 
 def upper_central_series(group: FiniteGroup) -> list[SubgroupHandle]:

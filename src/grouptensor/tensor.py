@@ -2,7 +2,7 @@
 
 ``tensor_square`` keeps only what downstream computations need: the group
 order and the pairwise triviality matrix ``trivial[x][y]``, true exactly when
-the pair element ``x (x) y`` is the identity.  It takes the first of three
+the pair element ``x (x) y`` is the identity.  It takes the first of four
 paths that applies:
 
 * an abelian group (read from its table) gets the integral tensor square
@@ -13,11 +13,22 @@ paths that applies:
   trivially on each other, so ``A (x) K = A^ab (x)_Z K^ab``, and
   ``(a, b) (x) (a', b')`` is trivial exactly when ``a (x) a'``, ``b (x) b'``,
   ``a (x) b'`` and ``b (x) a'`` all are.  The squares of A and K, taken as
-  standalone groups, come from these same three paths;
-* every other group is realized by enumerating the cosets of G in Rocco's
-  group nu(G) (``tensor_square_presentation``), which contains the tensor
-  square as ``[G, G^phi]``; ``_from_table`` reads the order and the matrix
-  from the cosets.
+  standalone groups, come from these same four paths;
+* a group of order 2^k is squared through Rocco's group nu(G)
+  (``tensor_square_presentation``), which contains the tensor square as
+  ``[G, G^phi]`` and has order ``|G|^2 |G (x) G|``.  For a finite p-group G,
+  G (x) G is a finite p-group (Ellis, J. Algebra 111, 1987), so nu(G) is a
+  finite 2-group and equals the largest 2-quotient of its presentation.
+  ``pquotient.two_quotient`` computes that quotient as a consistent pc
+  presentation that satisfies every relator, so its order is |nu(G)|, and
+  ``_from_two_quotient`` reads ``g (x) h`` as trivial exactly when the images
+  of g and h^phi commute;
+* every other group is realized by enumerating the cosets of G in nu(G);
+  ``_from_table`` reads the order and the matrix from the cosets.
+
+``max_cosets`` bounds the cosets of an enumeration, and on the 2-group path
+the count enumeration would reach, ``|nu(G)| / |G|``: either raises the same
+``LimitError``.
 
 Every result, whichever path made it, is validated for the structural facts
 later computations rely on (rows and columns of the identity are trivial, the
@@ -29,7 +40,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .abelian import bilinear_tensor
 from .coset_enum import (
@@ -79,10 +90,10 @@ _tensor_cache: dict[tuple[bytes, int], TensorSquareData] = {}
 def tensor_square(
     group: FiniteGroup, max_cosets: int = DEFAULT_MAX_COSETS
 ) -> TensorSquareData:
-    """Tensor square of ``group``; raises LimitError if an enumeration overflows.
+    """Tensor square of ``group``; raises LimitError past ``max_cosets``.
 
-    Only the enumerations that run are bounded by ``max_cosets``: those of a
-    nonabelian group that is not a direct product, or of such a factor.
+    Only the squares read from nu(G) are bounded by ``max_cosets``: those of
+    a nonabelian group that is not a direct product, or of such a factor.
     The path is read from the table alone, so results are memoized on the
     table and the bound: equal tables share one computation per process.
     ``max_cosets`` below 1 is a SpecError whichever path the group takes.
@@ -104,18 +115,22 @@ def _square(group: FiniteGroup, max_cosets: int) -> TensorSquareData:
         data = TensorSquareData(parent=group, order=square.order, trivial=square.trivial)
     elif (factors := direct_factors(group)) is not None:
         data = _product(group, *factors, max_cosets)
+    elif group.order & (group.order - 1) == 0:
+        data = _from_two_quotient(group, max_cosets)
     else:
         table = todd_coxeter(tensor_square_presentation(group), max_cosets=max_cosets)
         if table.status != COMPLETED:
-            # a factor is named after its parent, as in C2xQ8<8>
-            raise LimitError(
-                f"tensor-square enumeration for {group.name} exceeded {max_cosets} cosets"
-            )
+            _overflow(group, max_cosets)
         data = _from_table(group, table)
     _validate(data)
     with _cache_lock:
         _tensor_cache.setdefault(key, data)
     return data
+
+
+def _overflow(group: FiniteGroup, max_cosets: int) -> NoReturn:
+    # a factor is named after its parent, as in C2xQ8<8>
+    raise LimitError(f"tensor-square enumeration for {group.name} exceeded {max_cosets} cosets")
 
 
 def _product(
@@ -169,6 +184,34 @@ def _from_table(group: FiniteGroup, table: CosetTable) -> TensorSquareData:
     columns = [[c == image for image in walk(c, 0)] for c in walk(0, table.generator_count // 2)]
     trivial = tuple(tuple(row) for row in zip(*columns))
     return TensorSquareData(group, table.coset_count // n, trivial, table)
+
+
+def _from_two_quotient(group: FiniteGroup, max_cosets: int) -> TensorSquareData:
+    """Order and matrix from nu(G) as its largest 2-quotient, for a 2-group G.
+
+    Enumeration would need ``|nu(G)| / |G|`` cosets, so the quotient is
+    abandoned once it has more than ``max_cosets * |G|`` elements.
+    """
+    # imported on first use: a process that squares no 2-group never loads it
+    from .pquotient import two_quotient
+
+    presentation = tensor_square_presentation(group)
+    nu = two_quotient(presentation, (max_cosets * group.order).bit_length() - 1)
+    if nu is None:
+        _overflow(group, max_cosets)
+    mul, letters, m = nu.mul, nu.letters(), presentation.generator_count // 2
+    _, tree = spanning_tree(group)
+
+    def walk(shift: int) -> list[int]:
+        # image[g]: the image of w(g), or of w(g)^phi when shift is |X|
+        image = [0] * group.order
+        for g, parent, letter in tree:
+            image[g] = mul(image[parent], letters[letter + shift if letter > 0 else letter - shift])
+        return image
+
+    copies = walk(m)
+    trivial = tuple(tuple(mul(x, y) == mul(y, x) for y in copies) for x in walk(0))
+    return TensorSquareData(group, nu.order // group.order**2, trivial)
 
 
 def _validate(data: TensorSquareData) -> None:

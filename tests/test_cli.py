@@ -33,8 +33,8 @@ def test_tensor(capsys):
 
 
 def test_tensor_dump_table(capsys, monkeypatch):
-    # the dump is the table tensor_square enumerated: D8 enumerates once,
-    # and C2xD8, assembled from its factors' squares, not at all
+    # the dump is the table tensor_square enumerated: S3 enumerates once,
+    # and C2xS3, assembled from its factors' squares, not at all
     calls = []
 
     def counted(presentation, max_cosets):
@@ -44,21 +44,22 @@ def test_tensor_dump_table(capsys, monkeypatch):
     enumerate_cosets = tensor_module.todd_coxeter
     monkeypatch.setattr(tensor_module, "todd_coxeter", counted)
     monkeypatch.setattr(tensor_module, "_tensor_cache", {})
-    code, out, _ = run_cli(capsys, "tensor", "D8", "--dump-table")
+    code, out, _ = run_cli(capsys, "tensor", "S3", "--dump-table")
     assert code == 0 and len(calls) == 1
-    # D8 in nu(D8): generators g0, g1 and their copies g2, g3; 256 cosets
-    assert "g0" in out and "g3'" in out and "\n  255" in out
-    code, out, _ = run_cli(capsys, "tensor", "C2xD8", "--dump-table")
+    # S3 in nu(S3): generators g0, g1 and their copies g2, g3; 36 cosets
+    assert "g0" in out and "g3'" in out and "\n  35" in out
+    code, out, _ = run_cli(capsys, "tensor", "C2xS3", "--dump-table")
     assert code == 0 and len(calls) == 1
-    assert "tensor square order: 1024" in out
+    assert "tensor square order: 48" in out
     assert "(no table: the tensor square was not enumerated)" in out
 
 
 def test_tensor_stats_go_to_stderr_only(capsys):
-    # D8 enumerates nu(D8): 1,018 cosets defined, at most 533 live, 256 final
+    # S3 enumerates nu(S3): 243 cosets defined, at most 180 live, 36 final
     for spec, stats in [
-        ("D8", r"stats: tensor square \d+\.\d{3} s, defined 1018, peak live 533, cosets 256\n"),
-        ("C2xD8", r"stats: not enumerated\n"),
+        ("S3", r"stats: tensor square \d+\.\d{3} s, defined 243, peak live 180, cosets 36\n"),
+        ("C2xS3", r"stats: not enumerated\n"),
+        ("D8", r"stats: not enumerated\n"),
     ]:
         code, plain, err = run_cli(capsys, "tensor", spec)
         assert code == 0 and err == ""

@@ -13,6 +13,7 @@ from grouptensor import (
     direct_product,
     j2_order,
     nilpotency_class,
+    normal_subgroups,
     quotient,
     tensor_center,
     tensor_centralizer,
@@ -22,13 +23,17 @@ from grouptensor import (
     tensor_upper_central,
     todd_coxeter,
 )
+from grouptensor import pquotient
 from grouptensor import tensor as tensor_module
 from grouptensor.coset_enum import DEFAULT_MAX_COSETS
 from grouptensor.errors import ConsistencyError, LimitError
 from grouptensor.groups import (
     SubgroupHandle,
+    all_subgroups,
     direct_factors,
     relabeled,
+    subgroup_as_group,
+    subgroup_generated,
     trivial_subgroup,
 )
 from grouptensor.specs import group_from_spec
@@ -81,8 +86,9 @@ def shuffled(group, seed=1):
     return relabeled(group, [0] + rest)
 
 
-def enumerated_orders(monkeypatch):
-    """Orders of the groups whose squares are enumerated from now on, memo cleared."""
+def nu_orders(monkeypatch):
+    """Orders of the groups whose squares are read from nu(G) from now on, by
+    enumeration or as a 2-quotient, memo cleared."""
     monkeypatch.setattr(tensor_module, "_tensor_cache", {})
     orders = []
     presentation = tensor_module.tensor_square_presentation
@@ -138,20 +144,20 @@ def test_two_factor_products_match_enumeration(left, right):
 def test_limit_propagates_with_group_name(groups):
     with pytest.raises(LimitError) as err:
         tensor_square(groups("Q8"), max_cosets=5)
-    assert "Q8" in str(err.value)
+    assert str(err.value) == "tensor-square enumeration for Q8 exceeded 5 cosets"
     with pytest.raises(LimitError) as err:
         tensor_square(group_from_spec("C2xQ8"), max_cosets=5)
     assert "tensor-square enumeration for C2xQ8<8> exceeded 5 cosets" in str(err.value)
 
 
 def test_product_tables_take_the_product_path_however_labelled(monkeypatch):
-    # Q8 peaks at 649 live cosets; enumerating C2xQ8 itself needs 16 * 2048
+    # the cap counts |nu(G)| / |G|: 512 for Q8, 16 * 2048 for C2xQ8 itself
     product = group_from_spec("C2xQ8")
-    orders = enumerated_orders(monkeypatch)
+    orders = nu_orders(monkeypatch)
     for group in (shuffled(product), FiniteGroup(product.mul)):
         tensor_module._tensor_cache.clear()
         assert tensor_square(group, max_cosets=700).order == 2048
-    # each enumerates only its Q8 factor
+    # each reads only its Q8 factor from nu
     assert orders == [8, 8]
 
 
@@ -160,9 +166,124 @@ def test_product_quotient_takes_the_product_path(monkeypatch):
     g = group_from_spec("Q8xC4")
     q, _ = quotient(g, SubgroupHandle(g, (0, 2)))
     assert q.order == 16 and not q.is_abelian()
-    orders = enumerated_orders(monkeypatch)
+    orders = nu_orders(monkeypatch)
     assert tensor_square(q, max_cosets=700).order == 2048
     assert orders == [8]
+
+
+def indecomposable(group):
+    return not group.is_abelian() and direct_factors(group) is None
+
+
+def maximal_subgroups(group):
+    """The subgroups of index 2 of a 2-group G, the preimages of the
+    hyperplanes of G / Phi(G); Phi(G) is generated by the squares."""
+    frattini = subgroup_generated(group, [group.mul[x][x] for x in group.elements()])
+    top, proj = quotient(group, frattini)
+    return [
+        SubgroupHandle(group, [x for x in group.elements() if proj[x] in h])
+        for h in all_subgroups(top)
+        if 2 * h.order == top.order
+    ]
+
+
+def d8xd8_subgroups(groups):
+    """The nine indecomposable subgroups of order 32 of D8xD8, as groups."""
+    found = [subgroup_as_group(h)[0] for h in maximal_subgroups(groups("D8xD8"))]
+    return [g for g in found if indecomposable(g)]
+
+
+def extraspecial_32(groups):
+    """2^{1+4}_+: D8xD8 over the diagonal C2 of its center C2xC2, the one
+    central C2 whose quotient has a center of order 2."""
+    g = groups("D8xD8")
+    for z in center(g).elements[1:]:
+        q, _ = quotient(g, SubgroupHandle(g, (0, z)))
+        if center(q).order == 2:
+            return q
+    raise AssertionError("no extraspecial quotient")
+
+
+def pauli(groups):
+    """Q8xC4 over a central C2 that leaves it indecomposable (Q8 o C4)."""
+    g = groups("Q8xC4")
+    for n in normal_subgroups(g):
+        if n.order == 2 and indecomposable(q := quotient(g, n)[0]):
+            return q
+    raise AssertionError("no indecomposable quotient")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["D8", "Q8", "D16", "Q16"]), st.data())
+def test_two_quotient_path_matches_enumeration_however_labelled(spec, data):
+    group = group_from_spec(spec)
+    group = relabeled(group, [0, *data.draw(st.permutations(range(1, group.order)))])
+    square = tensor_module._from_two_quotient(group, DEFAULT_MAX_COSETS)
+    assert (square.order, square.trivial) == enumerated(group)
+
+
+def test_two_quotient_path_matches_enumeration_on_d32_and_q8_o_c4(groups):
+    # enumerating nu(Q8 o C4) takes about 1 s: |G (x) G| = 512
+    for group in (groups("D32"), pauli(groups)):
+        square = tensor_module._from_two_quotient(group, DEFAULT_MAX_COSETS)
+        assert (square.order, square.trivial) == enumerated(group), group.name
+    assert square.order == 512
+
+
+def test_weight_bounded_test_words_give_the_quotient_all_test_words_give(groups, monkeypatch):
+    every = pquotient._test_words
+
+    def all_test_words(n, cls, weight, power, conj, mul):
+        # no weight reaches 2n, so no bound applies
+        return every(n, 2 * n, weight, power, conj, mul)
+
+    cases = [groups("D16"), groups("Q16"), groups("D32"), pauli(groups), extraspecial_32(groups)]
+    cases += d8xd8_subgroups(groups)[:2]
+    bounded = [tensor_module._from_two_quotient(g, 2**21) for g in cases]
+    monkeypatch.setattr(pquotient, "_test_words", all_test_words)
+    for group, square in zip(cases, bounded):
+        full = tensor_module._from_two_quotient(group, 2**21)
+        assert (square.order, square.trivial) == (full.order, full.trivial), group.name
+
+
+def test_indecomposable_two_groups_leave_the_enumerator(groups, monkeypatch):
+    # the order-32 subgroups of D8xD8 took 25 s or 60 s each to enumerate,
+    # and 2^{1+4}_+ overflowed the default cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 2-group was enumerated")
+
+    monkeypatch.setattr(tensor_module, "_tensor_cache", {})
+    monkeypatch.setattr(tensor_module, "todd_coxeter", refuse)
+    started = time.monotonic()
+    orders = sorted(tensor_square(g).order for g in d8xd8_subgroups(groups))
+    assert orders == [2048] * 4 + [4096] * 5
+    # Brown, Johnson and Robertson: |E (x) E| = 2^16 for E = 2^{1+4}_+
+    assert tensor_square(extraspecial_32(groups), max_cosets=2**21).order == 2**16
+    assert time.monotonic() - started < 10.0
+    for spec, order in [("D8", 32), ("Q8", 64), ("D16", 64), ("Q16", 64), ("D64", 256)]:
+        assert tensor_square(groups(spec)).order == order, spec
+
+
+def test_the_coset_cap_bounds_the_two_quotient_path(groups):
+    # enumeration would reach |nu(Q8)| / |Q8| = 8 * 64 cosets
+    q8 = groups("Q8")
+    with pytest.raises(LimitError, match="exceeded 511 cosets"):
+        tensor_square(q8, max_cosets=511)
+    assert tensor_square(q8, max_cosets=512).order == 64
+    # 2^{1+4}_+ would need 32 * 2^16 cosets
+    with pytest.raises(LimitError, match="for D8xD8/N2 exceeded 1000000 cosets"):
+        tensor_square(extraspecial_32(groups))
+
+
+@pytest.mark.slow
+def test_two_quotient_path_matches_enumeration_on_d8xd8_subgroups(groups):
+    # enumeration takes about 25 s at |G (x) G| = 2048 and 60 s at 4096
+    picked = {}
+    for group in d8xd8_subgroups(groups):
+        picked.setdefault(tensor_square(group).order, group)
+    for order in (2048, 4096):
+        square = tensor_square(picked[order])
+        assert (square.order, square.trivial) == enumerated(picked[order]), order
 
 
 def test_products_and_abelian_groups_finish_fast(monkeypatch):
