@@ -14,7 +14,6 @@ For a group of order 2^k, nu(G) is a 2-group and is built as the largest
 """
 
 from grouptensor import (
-    abelian_tensor_square_oracle,
     direct_factors,
     group_from_spec,
     j2_order,
@@ -24,6 +23,7 @@ from grouptensor import (
     tensor_square_presentation,
     todd_coxeter,
 )
+from grouptensor.abelian import bilinear_tensor
 
 print("== presentation sizes of nu(G) ==")
 for spec in ["C2", "S3", "D8", "A5"]:
@@ -49,7 +49,7 @@ print("== abelian groups: enumeration vs bilinear oracle ==")
 for spec in ["C6", "C8", "C2xC4", "C3xC3", "C2xC2xC2"]:
     g = group_from_spec(spec)
     table = todd_coxeter(tensor_square_presentation(g))
-    oracle = abelian_tensor_square_oracle(g)
+    oracle = bilinear_tensor(g, g)
     enumerated = table.coset_count // g.order
     print(f"{spec:9s} cosets {table.coset_count:4d} = {g.order:2d} x {enumerated:3d}  "
           f"oracle {oracle.order:3d}  match: {enumerated == oracle.order}")

@@ -1,6 +1,6 @@
 """Nonabelian tensor squares and exact degree computations for small finite groups."""
 
-from .abelian import abelian_basis, abelian_tensor_square_oracle
+from .abelian import abelian_basis
 from .coset_enum import (
     CosetTable,
     Presentation,

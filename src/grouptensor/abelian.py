@@ -128,8 +128,3 @@ def bilinear_tensor(left: FiniteGroup, right: FiniteGroup) -> AbelianTensorOracl
         tuple(is_trivial(x, y) for y in right.elements()) for x in left.elements()
     )
     return AbelianTensorOracle(order=order, trivial=trivial)
-
-
-def abelian_tensor_square_oracle(group: FiniteGroup) -> AbelianTensorOracle:
-    """Tensor square of an abelian group straight from its cyclic decomposition."""
-    return bilinear_tensor(group, group)

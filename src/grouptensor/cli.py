@@ -63,13 +63,12 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     if args.stats:
         table = data.table
-        print(
-            f"stats: tensor square {elapsed:.3f} s, defined {table.defined}, "
-            f"peak live {table.peak_live}, cosets {table.coset_count}"
+        counters = (
+            f"defined {table.defined}, peak live {table.peak_live}, cosets {table.coset_count}"
             if table
-            else "stats: not enumerated",
-            file=sys.stderr,
+            else "not enumerated"
         )
+        print(f"stats: tensor square {elapsed:.3f} s, {counters}", file=sys.stderr)
     print(f"group: {group.name}")
     print(f"tensor square order: {data.order}")
     print(f"J2 order: {j2_order(group, data)}")

@@ -18,8 +18,6 @@ worker count.
 
 from __future__ import annotations
 
-import io
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -28,7 +26,7 @@ from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .coset_enum import DEFAULT_MAX_COSETS
-from .degrees import format_decimal, format_fraction, rel_comm_degree, rel_n_tensor_degree
+from .degrees import format_fraction, rel_comm_degree, rel_n_tensor_degree
 from .errors import LimitError, SpecError
 from .groups import (
     FiniteGroup,
@@ -149,30 +147,6 @@ class TheoremCheck:
             self.n if self.n is not None else -1,
             self.variant or "",
         )
-
-    def to_dict(self) -> dict:
-        out: dict = {"id": self.id, "group": self.group}
-        if self.subgroup is not None:
-            out["subgroup"] = list(self.subgroup)
-        if self.normal is not None:
-            out["normal"] = list(self.normal)
-        if self.n is not None:
-            out["n"] = self.n
-        if self.variant is not None:
-            out["variant"] = self.variant
-        out["lhs"] = format_fraction(self.lhs) if self.lhs is not None else None
-        out["lhs_decimal"] = format_decimal(self.lhs) if self.lhs is not None else None
-        out["rhs"] = format_fraction(self.rhs) if self.rhs is not None else None
-        out["rhs_decimal"] = format_decimal(self.rhs) if self.rhs is not None else None
-        out["relation"] = self.relation
-        out["holds"] = self.holds
-        if self.skipped:
-            out["skipped"] = True
-        if self.note is not None:
-            out["note"] = self.note
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -732,75 +706,24 @@ class VerificationReport:
     checks: list[TheoremCheck]
     summary: dict
 
+    # the formats are in report.py, compiled on the first render, not at import
     def to_json(self) -> str:
-        doc = {
-            "version": self.version,
-            "config": self.config,
-            "checks": [check.to_dict() for check in self.checks],
-            "summary": self.summary,
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        from .report import json_text
+        return json_text(self)
 
     def to_csv(self) -> str:
-        import csv as _csv
-
-        columns = [
-            "id", "group", "subgroup", "normal", "n", "variant",
-            "lhs", "lhs_decimal", "rhs", "rhs_decimal", "relation",
-            "holds", "skipped", "note", "witness",
-        ]
-        buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for check in self.checks:
-            row = check.to_dict()
-            writer.writerow([_csv_cell(row.get(col)) for col in columns])
-        return buf.getvalue()
+        from .report import csv_text
+        return csv_text(self)
 
     def to_table(self) -> str:
-        header = f"{'id':12} {'group':10} {'sub':4} {'nrm':4} {'n':>2} {'variant':18} {'lhs':>12} {'rhs':>12} verdict"
-        lines = [header, "-" * len(header)]
-        for check in self.checks:
-            sub = str(len(check.subgroup)) if check.subgroup else ""
-            nrm = str(len(check.normal)) if check.normal else ""
-            if check.skipped:
-                verdict = "SKIP"
-            elif check.note:
-                verdict = "FLAG"
-            elif check.holds:
-                verdict = "ok"
-            else:
-                verdict = "VIOLATED"
-            lhs = format_fraction(check.lhs) if check.lhs is not None else ""
-            rhs = format_fraction(check.rhs) if check.rhs is not None else ""
-            lines.append(
-                f"{check.id:12} {check.group:10} {sub:4} {nrm:4} "
-                f"{check.n if check.n is not None else '':>2} "
-                f"{check.variant or '':18} {lhs:>12} {rhs:>12} {verdict}"
-            )
-        lines.append("")
-        lines.append(
-            "pass {pass} fail {fail} skipped {skipped} flagged {flagged}".format(
-                **self.summary
-            )
-        )
-        return "\n".join(lines) + "\n"
+        from .report import table_text
+        return table_text(self)
 
     def render(self, fmt: str) -> str:
         renderers = {"json": self.to_json, "csv": self.to_csv, "table": self.to_table}
         if fmt not in renderers:
             raise SpecError(f"unknown output format {fmt!r}")
         return renderers[fmt]()
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (list, dict)):
-        return json.dumps(value, sort_keys=True, separators=(",", ":"))
-    return str(value)
 
 
 def summarize(checks: Sequence[TheoremCheck]) -> dict:

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from grouptensor import abelian_basis, abelian_tensor_square_oracle, group_from_spec
-from grouptensor.abelian import abelian_coordinates
+from grouptensor import abelian_basis, group_from_spec
+from grouptensor.abelian import abelian_coordinates, bilinear_tensor
 
 
 def factor_orders(spec):
@@ -51,14 +51,15 @@ def test_oracle_orders():
         "C6": 6,
     }
     for spec, order in expected.items():
-        assert abelian_tensor_square_oracle(group_from_spec(spec)).order == order
+        g = group_from_spec(spec)
+        assert bilinear_tensor(g, g).order == order
 
 
 def test_oracle_triviality_cyclic_prime():
     # in C_p the pair (x, y) is trivial exactly when x*y = 0 mod p
     for p in (2, 3, 5):
         g = group_from_spec(f"C{p}")
-        oracle = abelian_tensor_square_oracle(g)
+        oracle = bilinear_tensor(g, g)
         for x in range(p):
             for y in range(p):
                 assert oracle.trivial[x][y] == ((x * y) % p == 0)
@@ -68,7 +69,8 @@ def test_oracle_triviality_cyclic_prime():
 
 def test_oracle_triviality_symmetric():
     for spec in ["C4", "C2xC4", "C3xC3"]:
-        oracle = abelian_tensor_square_oracle(group_from_spec(spec))
+        g = group_from_spec(spec)
+        oracle = bilinear_tensor(g, g)
         n = len(oracle.trivial)
         for x in range(n):
             assert oracle.trivial[0][x] and oracle.trivial[x][0]

@@ -58,8 +58,8 @@ def test_tensor_stats_go_to_stderr_only(capsys):
     # S3 enumerates nu(S3): 243 cosets defined, at most 180 live, 36 final
     for spec, stats in [
         ("S3", r"stats: tensor square \d+\.\d{3} s, defined 243, peak live 180, cosets 36\n"),
-        ("C2xS3", r"stats: not enumerated\n"),
-        ("D8", r"stats: not enumerated\n"),
+        ("C2xS3", r"stats: tensor square \d+\.\d{3} s, not enumerated\n"),
+        ("D8", r"stats: tensor square \d+\.\d{3} s, not enumerated\n"),
     ]:
         code, plain, err = run_cli(capsys, "tensor", spec)
         assert code == 0 and err == ""

@@ -9,7 +9,6 @@ from grouptensor import (
     FiniteGroup,
     Presentation,
     SpecError,
-    abelian_tensor_square_oracle,
     generator_element,
     group_from_spec,
     tensor_square,
@@ -17,6 +16,7 @@ from grouptensor import (
     todd_coxeter,
 )
 from grouptensor import coset_enum
+from grouptensor.abelian import bilinear_tensor
 from grouptensor import tensor as tensor_module
 from grouptensor.coset_enum import (
     COMPLETED,
@@ -288,7 +288,7 @@ def test_abelian_orders_match_bilinear_oracle():
     for spec in ["C2", "C3", "C4", "C5", "C6", "C7", "C8", "C2xC2", "C2xC4", "C3xC3"]:
         g = group_from_spec(spec)
         table = todd_coxeter(tensor_square_presentation(g))
-        oracle = abelian_tensor_square_oracle(g)
+        oracle = bilinear_tensor(g, g)
         assert table.coset_count == g.order * oracle.order, spec
 
 

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 from fractions import Fraction
 
@@ -7,6 +9,9 @@ import pytest
 from grouptensor import (
     Config,
     SpecError,
+    TheoremCheck,
+    VerificationReport,
+    __version__,
     builtin_corpus,
     check_theorem,
     group_from_spec,
@@ -14,6 +19,7 @@ from grouptensor import (
     tensor_degree,
     tensor_square,
 )
+from grouptensor.degrees import format_decimal
 from grouptensor.groups import all_subgroups
 from grouptensor.verify import (
     ALL_CHECK_IDS,
@@ -222,6 +228,111 @@ def test_report_is_pinned(max_order, fmt, pinned):
     assert hashlib.sha256(report.render(fmt).encode("utf-8")).hexdigest() == pinned
 
 
+# The report as a document of plain dicts, rendered by the standard library:
+# the independent cross-check of the bytes VerificationReport writes itself.
+COLUMNS = [
+    "id", "group", "subgroup", "normal", "n", "variant",
+    "lhs", "lhs_decimal", "rhs", "rhs_decimal", "relation",
+    "holds", "skipped", "note", "witness",
+]
+
+
+def oracle_record(check):
+    out = {"id": check.id, "group": check.group}
+    if check.subgroup is not None:
+        out["subgroup"] = list(check.subgroup)
+    if check.normal is not None:
+        out["normal"] = list(check.normal)
+    if check.n is not None:
+        out["n"] = check.n
+    if check.variant is not None:
+        out["variant"] = check.variant
+    for side in ("lhs", "rhs"):
+        value = getattr(check, side)
+        out[side] = None if value is None else f"{value.numerator}/{value.denominator}"
+        out[f"{side}_decimal"] = None if value is None else format_decimal(value)
+    out["relation"] = check.relation
+    out["holds"] = check.holds
+    if check.skipped:
+        out["skipped"] = True
+    if check.note is not None:
+        out["note"] = check.note
+    if check.witness is not None:
+        out["witness"] = check.witness
+    return out
+
+
+def oracle_json(report):
+    doc = {
+        "version": report.version,
+        "config": report.config,
+        "checks": [oracle_record(check) for check in report.checks],
+        "summary": report.summary,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def oracle_csv(report):
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, (list, dict)):
+            return json.dumps(value, sort_keys=True, separators=(",", ":"))
+        return str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    for check in report.checks:
+        record = oracle_record(check)
+        writer.writerow([cell(record.get(column)) for column in COLUMNS])
+    return buf.getvalue()
+
+
+HAND_BUILT = [
+    # every optional field present; a negative and a whole-number fraction
+    TheoremCheck(
+        id="thm-3cases", group="S3", subgroup=(0, 1, 2), normal=(0,), n=2,
+        variant="case-iii", lhs=Fraction(-3, 4), rhs=Fraction(2), relation="le",
+        holds=False, note='a "quoted" \\ note on \u03bd(G) \u2245 G\u00e9',
+        witness={"k_order": 6, "case": "case-ii", "abelian": False, "nilpotent": True,
+                 "k_tensor_class": None},
+    ),
+    # every optional field absent: no sides, holds None
+    TheoremCheck(id="sanity-erl", group="C1"),
+    TheoremCheck(id="thm-1.1", group="C2", subgroup=(0,), lhs=Fraction(1), rhs=Fraction(1),
+                 relation="eq", holds=True),
+    TheoremCheck(id="thm-2.2", group="D8", subgroup=(0,), n=3, skipped=True,
+                 note="exceeded-limit: tensor-square enumeration for D8 exceeded 4 cosets"),
+    TheoremCheck(id="thm-2.6", group="Q8", n=1, lhs=Fraction(7, 8), rhs=Fraction(3, 4),
+                 holds=False, witness={}),
+    TheoremCheck(id="thm-quot", group="C4", subgroup=(), normal=(0,), n=1,
+                 lhs=Fraction(0), rhs=Fraction(1, 3), holds=True, skipped=False),
+]
+
+
+@pytest.mark.parametrize("checks", [HAND_BUILT, HAND_BUILT[1:2], []], ids=["all", "one", "none"])
+def test_hand_built_report_matches_the_stdlib_renderer(checks):
+    report = VerificationReport(
+        version=__version__, config=Config().echo(), checks=checks, summary=summarize(checks)
+    )
+    assert report.to_json() == oracle_json(report)
+    assert report.to_csv() == oracle_csv(report)
+
+
+@pytest.mark.parametrize(
+    ("max_order", "config"),
+    [(8, Config(max_order=8, max_cosets=4)), (1, Config(max_order=1))],
+    ids=["capped", "trivial-group"],
+)
+def test_suite_report_matches_the_stdlib_renderer(max_order, config):
+    report = run_suite(builtin_corpus(max_order), "all", config)
+    assert report.to_json() == oracle_json(report)
+    assert report.to_csv() == oracle_csv(report)
+
+
 def test_hypothesis_filtering_in_suite():
     report = run_suite(builtin_corpus(8), "all", Config(max_order=8))
     abelian = {"C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8",
@@ -296,7 +407,7 @@ def test_check_theorem_reproduces_every_suite_record(config):
             value = getattr(check, key)
             if value is not None:
                 instance[key] = list(value) if key in ("subgroup", "normal") else value
-        assert check_theorem(check.id, instance, config).to_dict() == check.to_dict()
+        assert check_theorem(check.id, instance, config) == check
 
 
 def test_known_violation_instances():
