@@ -25,9 +25,6 @@ HARD_MAX_ORDER = 64
 
 T = TypeVar("T")
 
-# Subgroup enumeration (``all_subgroups``) refuses larger groups.
-SUBGROUP_MAX_ORDER = 32
-
 # Exhaustive associativity checking up to this order, random sampling beyond.
 _ASSOC_EXHAUSTIVE_LIMIT = 64
 
@@ -56,7 +53,7 @@ class FiniteGroup:
         _validate_table(table, n)
         self.order = n
         self.mul = table
-        self.inv = _inverse_table(table, n)
+        self.inv = _inverse_table(table)
         self.name = name
         self.generator_labels = dict(generator_labels) if generator_labels else {}
         self._cache: dict = {}
@@ -111,7 +108,7 @@ class FiniteGroup:
         g = cls.__new__(cls)
         g.order = len(table)
         g.mul = table
-        g.inv = inv if inv is not None else _inverse_table(table, len(table))
+        g.inv = inv if inv is not None else _inverse_table(table)
         g.name = name
         g.generator_labels = {}
         g._cache = {}
@@ -159,19 +156,12 @@ def _validate_table(table: tuple[tuple[int, ...], ...], n: int) -> None:
             raise SpecError(f"multiplication is not associative at ({a}, {b}, {c})")
 
 
-def _inverse_table(table: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
-    inv = [0] * n
-    for a in range(n):
-        row = table[a]
-        found = None
-        for b in range(n):
-            if row[b] == 0:
-                found = b
-                break
-        if found is None or table[found][a] != 0:
+def _inverse_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    inv = tuple(row.index(0) for row in table)  # each row is a permutation
+    for a, b in enumerate(inv):
+        if table[b][a] != 0:
             raise SpecError(f"element {a} has no two-sided inverse")
-        inv[a] = found
-    return tuple(inv)
+    return inv
 
 
 class SubgroupHandle:
@@ -469,58 +459,67 @@ def full_subgroup(group: FiniteGroup) -> SubgroupHandle:
 
 
 def all_subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
-    """All subgroups, as the joins of cyclic subgroups, up to ``SUBGROUP_MAX_ORDER``."""
-    if group.order > SUBGROUP_MAX_ORDER:
+    """All subgroups, ordered by size and then by elements, by cyclic extension.
+
+    A solvable H != 1 has a normal A of prime index p, and H = A<g> for each g
+    in H - A: g normalizes A, g^p lies in A, and H is the union of the cosets
+    A g^i, i < p.  So each layer extends the last by the elements that no
+    extension found so far holds and that conjugate into A the generators A
+    was built from.  Up to order 64 only A5 is not solvable, and its proper
+    subgroups are, so adding G completes the lattice.  Above ``HARD_MAX_ORDER``
+    = 64 it would not (S5 would lose A5), so larger groups are refused.
+    """
+    if group.order > HARD_MAX_ORDER:
         raise SpecError(
-            f"subgroup enumeration limited to order {SUBGROUP_MAX_ORDER}, group has {group.order}"
+            f"subgroup enumeration limited to order {HARD_MAX_ORDER}, group has {group.order}"
         )
-    return list(group.cached("all_subgroups", lambda: _joins(
-        group,
-        {frozenset(closure(group, (g,))) for g in group.elements()},
-        lambda a, c: frozenset(closure(group, a | c)),
-    )))
+    mul, inv, primes = group.mul, group.inv, prime_factors(group.order)
+
+    def make():
+        found, layer = {}, {frozenset((0,)): ()}  # elements -> generators
+        while layer:
+            found.update(layer)
+            grown = {}
+            for a, gens in layer.items():
+                covered = set(a)
+                for g in group.elements():
+                    if g in covered or any(mul[mul[g][x]][inv[g]] not in a for x in gens):
+                        continue
+                    cosets, x = [a], g
+                    while x not in a:
+                        cosets.append(frozenset(mul[y][x] for y in a))
+                        x = mul[x][g]
+                    if len(cosets) in primes:
+                        h = frozenset().union(*cosets)
+                        grown.setdefault(h, gens + (g,))
+                        covered |= h
+            layer = grown
+        return _handles(group, found.keys() | {frozenset(group.elements())})
+
+    return list(group.cached("all_subgroups", make))
 
 
 def normal_subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
-    """All normal subgroups, in the order of ``all_subgroups``, at any order.
-
-    Each is the join of the normal closures of the conjugacy classes in it,
-    and the join of normal A and C is the set AC.
-    """
+    """All normal subgroups, in the order of ``all_subgroups``, at any order:
+    the products AC of the normal closures of the conjugacy classes, each
+    closure multiplied onto each newly found product until nothing is new."""
     mul, elements = group.mul, group.elements()
 
     def make():
         classes = {frozenset(conjugate(group, x, g) for x in elements) for g in elements}
-        return _joins(
-            group,
-            {frozenset(closure(group, c)) for c in classes},
-            lambda a, c: frozenset(mul[x][y] for x in a for y in c),
-        )
+        atoms = {frozenset(closure(group, c)) for c in classes}
+        found, frontier = set(), atoms
+        while frontier:
+            found |= frontier
+            frontier = {frozenset(mul[x][y] for x in a for y in c)
+                        for a in frontier for c in atoms if not c <= a} - found
+        return _handles(group, found)
 
     return list(group.cached("normal_subgroups", make))
 
 
-def _joins(
-    group: FiniteGroup,
-    atoms: set[frozenset[int]],
-    join: Callable[[frozenset[int], frozenset[int]], frozenset[int]],
-) -> tuple[SubgroupHandle, ...]:
-    """Every join of atoms, one of which is the trivial subgroup, ordered by
-    size and then by elements.
-
-    Joins the atoms onto each newly found subgroup until nothing new appears,
-    so each join of k atoms is found from a join of k - 1.  With the cyclic
-    subgroups as atoms this is every subgroup, since a subgroup is the join
-    of the cyclic subgroups of its elements; with the normal closures of the
-    conjugacy classes it is every normal subgroup, for the same reason.
-    """
-    found, frontier = set(), atoms
-    while frontier:
-        found |= frontier
-        frontier = {join(a, c) for a in frontier for c in atoms if not c <= a} - found
-    return tuple(
-        SubgroupHandle(group, e) for e in sorted(map(sorted, found), key=lambda e: (len(e), e))
-    )
+def _handles(group: FiniteGroup, found: Iterable[frozenset[int]]) -> tuple[SubgroupHandle, ...]:
+    return tuple(SubgroupHandle(group, e) for e in sorted(sorted(map(sorted, found)), key=len))
 
 
 def direct_factors(group: FiniteGroup) -> Optional[tuple[SubgroupHandle, SubgroupHandle]]:

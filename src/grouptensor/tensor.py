@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from itertools import product
 from typing import NoReturn, Optional
 
 from .abelian import bilinear_tensor
@@ -57,7 +56,6 @@ from .groups import (
     SubgroupHandle,
     derived_subgroup,
     direct_factors,
-    iterated_commutator,
     quotient,
     series_class,
     subgroup_as_group,
@@ -269,28 +267,11 @@ def j2_order(group: FiniteGroup, data: TensorSquareData) -> int:
 def tensor_upper_central(
     group: FiniteGroup, data: TensorSquareData, n: int
 ) -> SubgroupHandle:
-    """n-th term of the tensor upper central series (``_pullback_series``).
-
-    For n <= 3 the direct definition (all tuples ``[a, x1, ..., x(n-1)] (x) xn``
-    trivial) is evaluated as well, once per group and n, and any mismatch is
-    a hard error.
-    """
+    """n-th term of the tensor upper central series (``_pullback_series``)."""
     if n < 1:
         raise ValueError("series index must be >= 1")
     series = _pullback_series(group, data)
-    term = series[n] if n < len(series) else series[-1]
-    # the series is cached on the group, so one cross-check per term suffices
-    checked = group.cached("tensor_ucs_checked", set)
-    if n <= 3 and n not in checked:
-        direct = _direct_tensor_central(group, data, n)
-        if direct != term.elements:
-            witness = sorted(set(direct) ^ set(term.elements))
-            raise ConsistencyError(
-                f"tensor central term {n} mismatch for {group.name}: "
-                f"pullback vs direct differ at elements {witness}"
-            )
-        checked.add(n)
-    return term
+    return series[n] if n < len(series) else series[-1]
 
 
 def _pullback_series(
@@ -306,17 +287,6 @@ def _pullback_series(
     return group.cached("tensor_ucs", lambda: upper_central_from(
         group, [SubgroupHandle(group, (0,)), tensor_center(group, data)]
     ))
-
-
-def _direct_tensor_central(
-    group: FiniteGroup, data: TensorSquareData, n: int
-) -> tuple[int, ...]:
-    tails = list(product(group.elements(), repeat=n - 1))
-    return tuple(
-        a
-        for a in group.elements()
-        if all(all(data.trivial[iterated_commutator(group, (a,) + tail)]) for tail in tails)
-    )
 
 
 def tensor_class(group: FiniteGroup, data: TensorSquareData) -> Optional[int]:

@@ -18,7 +18,6 @@ worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
@@ -771,6 +770,10 @@ def run_suite(
     config = config or Config()
     ids = normalize_check_ids(check_ids)
     if config.jobs > 1 and len(corpus) > 1:
+        # imported here: loading the pool machinery is a sizeable share of
+        # ``import grouptensor``, and only parallel runs need it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             batches = list(pool.map(evaluate_entry, corpus, repeat(ids), repeat(config)))
     else:

@@ -21,6 +21,20 @@ def test_info(capsys):
     assert "derived subgroup order: 3" in out
     assert "nilpotency class: none" in out
     assert "subgroup count: 6" in out
+    code, out, _ = run_cli(capsys, "info", "A5")
+    assert code == 0
+    assert "subgroup count: 59" in out
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only --jobs > 1 needs the pool machinery
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, grouptensor; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
 
 
 def test_tensor(capsys):

@@ -29,6 +29,7 @@ from grouptensor import (
 from grouptensor import groups as groups_module
 from grouptensor.groups import (
     FiniteGroup,
+    closure,
     full_subgroup,
     relabeled,
     trivial_subgroup,
@@ -207,15 +208,42 @@ def test_all_subgroups_counts():
     assert len(subs) == 6
     assert len(normal_subgroups(s3)) == 3
     assert len(all_subgroups(cyclic(6))) == 4
-    with pytest.raises(SpecError):
-        all_subgroups(group_from_spec("A5"))
+    # A5 is the one group of order <= 64 that is not solvable
+    assert len(all_subgroups(group_from_spec("A5"))) == 59
+    # above order 64, S5 would lose its nonsolvable subgroup A5
+    with pytest.raises(SpecError, match="64"):
+        all_subgroups(symmetric(5))
     # counts known independently of the code: D_2n has tau(n) + sigma(n)
-    # subgroups (D16 4 + 15, D24 6 + 28, D32 5 + 31)
+    # subgroups (D16 4 + 15, D24 6 + 28, D32 5 + 31, D48 8 + 60, D64 6 + 63),
+    # and E2^k the sum of the Gaussian binomials [k, j]_2
     for spec, count in [("D16", 19), ("D24", 34), ("D32", 36), ("Q16", 11), ("E2^4", 67),
-                        ("S4", 30)]:
+                        ("S4", 30), ("S3xS3", 60), ("D48", 68), ("D64", 69), ("E2^5", 374),
+                        ("E2^6", 2825)]:
         group = group_from_spec(spec)
         for g in (group, _shuffled(group, 11)):
             assert len(all_subgroups(g)) == count, spec
+
+
+def join_lattice(group):
+    """Every subgroup as a join of cyclic subgroups: each cyclic subgroup is
+    joined onto each newly found subgroup until nothing new appears."""
+    atoms = {frozenset(closure(group, (g,))) for g in group.elements()}
+    found, frontier = set(), atoms
+    while frontier:
+        found |= frontier
+        frontier = {frozenset(closure(group, a | c)) for a in frontier for c in atoms
+                    if not c <= a} - found
+    return sorted(sorted(map(sorted, found)), key=len)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    SMALL_SPECS + ["D20", "D24", "C3xS3", "C2xA4", "C2xQ8", "C2xD8", "E2^4", "C4xC8", "D32",
+                   "Q8xC4", "C2xC2xD8", "E2^5"],
+)
+def test_all_subgroups_match_the_join_lattice(spec):
+    for group in (group_from_spec(spec), _shuffled(group_from_spec(spec), 3)):
+        assert [list(h.elements) for h in all_subgroups(group)] == join_lattice(group), spec
 
 
 def test_all_subgroups_structure():

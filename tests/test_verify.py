@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -200,18 +201,52 @@ def test_exceeded_limit_records_skips():
     assert digest == "c228a1d2fe7724bc797d14c9ab2e89ba6d039367f733d78113290ce07326ce73"
 
 
+def single_spec_report(tmp_path, spec, max_order):
+    path = tmp_path / "corpus.txt"
+    path.write_text(f"{spec}\n", encoding="utf-8")
+    return run_suite(corpus_from_file(str(path), max_order), "all", Config(max_order=max_order))
+
+
 def test_product_group_report_is_pinned(tmp_path):
     # the quotients and subgroups of a product are product tables built by
     # nothing; the report bytes must not depend on which tensor-square path
     # they take
-    path = tmp_path / "corpus.txt"
     for spec, pinned in [
         ("Q8xC4", "8e7b2392b321c653346b2684dd612474f3981247b465a2ccb62442c7d16fcdf7"),
         ("C2xC2xD8", "45b175916eb81a6193d89f66bd569b70b54eb2fd8668ac592805e511e746cc6b"),
     ]:
-        path.write_text(f"{spec}\n", encoding="utf-8")
-        report = run_suite(corpus_from_file(str(path), 32), "all", Config(max_order=32))
+        report = single_spec_report(tmp_path, spec, 32)
         assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == pinned, spec
+
+
+@pytest.mark.parametrize(
+    ("spec", "checks", "failures", "pinned"),
+    [
+        ("S3xS3", 1374, {"thm-2.3": 55, "thm-3cases": 37},
+         "c220e4c4fbb06bfa7bfc78f57dc4e10e752de5e1a65697d55dbd56341f39e965"),
+        ("D40", 1134, {"thm-2.3": 53, "thm-2.5": 4, "thm-3cases": 40},
+         "a738fbccd48465a1b7b4ff3009019e375cf74863eed998710b9047ef3fbc86c4"),
+    ],
+    ids=["S3xS3", "D40"],
+)
+def test_report_above_order_32_is_pinned(tmp_path, spec, checks, failures, pinned):
+    report = single_spec_report(tmp_path, spec, 64)
+    assert len(report.checks) == checks
+    assert Counter(c.id for c in report.checks if c.holds is False) == failures
+    assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == pinned
+
+
+@pytest.mark.slow
+def test_d8xd8_report_is_pinned(tmp_path):
+    # a few seconds; the only skips are the quotient 2^{1+4}_+, whose square
+    # exceeds the default coset cap
+    report = single_spec_report(tmp_path, "D8xD8", 64)
+    skipped = [c for c in report.checks if c.skipped]
+    assert len(skipped) == 440
+    assert {c.id for c in skipped} == {"thm-quot"}
+    assert all("exceeded-limit" in c.note for c in skipped)
+    digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+    assert digest == "4534bdb5c9d47e3e735ad7be3d18cf5131617e8b1dcd5f2ea44d12460d5d44f2"
 
 
 @pytest.mark.parametrize(
