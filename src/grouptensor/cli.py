@@ -64,7 +64,8 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
     if args.stats:
         table = data.table
         counters = (
-            f"defined {table.defined}, peak live {table.peak_live}, cosets {table.coset_count}"
+            f"defined {table.defined}, peak live {table.peak_live}, "
+            f"coincidences {table.coincidences}, cosets {table.coset_count}"
             if table
             else "not enumerated"
         )

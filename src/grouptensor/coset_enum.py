@@ -20,6 +20,19 @@ remaining HLT steps would only trace closed relators and fill no entry, so
 the table returned is the one HLT would have finished with.  If a relator
 does not close, HLT goes on to the last coset and verifies the final table.
 
+Once its columns are checked to be mutually inverse permutations, the table
+is an action of the free group, and a relator acts as the identity exactly
+when any cyclic rotation of it, or of its inverse, does: each is a conjugate
+of it.  So ``_verify_table`` may check whichever of these shares the longest
+prefix with the relators already placed, and composes whole columns once per
+node of that prefix tree (S4 313 compositions for 516 relator letters, A5
+514 for 1,052).
+
+The kernel is inlined where it runs per coset: a definition is written out
+in the scan and in the row fill, and callers of ``rep``, ``merge`` among
+them, skip it for cosets that are union-find roots.  Inlining changes no
+step: the definitions, scans and coincidences are HLT's as described above.
+
 Rows are dense lists of column-count entries while enumerating, and coset c
 is row c + 1.  Row 0 is a sink whose entries are all 0: an undefined entry
 reads 0, and a trace that reaches the sink stays there, so closed relators
@@ -106,8 +119,9 @@ class CosetTable:
     of its inverse.  Coset 0 is the subgroup itself.  For an exceeded-limit
     result the rows are absent and ``coset_count`` reports the number of live
     cosets at the point enumeration stopped.  ``defined`` is the number of
-    cosets defined, coset 0 not counted, and ``peak_live`` the largest number
-    of cosets live at once, for either status.
+    cosets defined, coset 0 not counted, ``peak_live`` the largest number of
+    cosets live at once and ``coincidences`` the number of cosets merged
+    away, ``defined + 1 - coset_count``, for either status.
     """
 
     generator_count: int
@@ -116,6 +130,7 @@ class CosetTable:
     rows: tuple[tuple[int, ...], ...] = field(default=())
     defined: int = 0
     peak_live: int = 0
+    coincidences: int = 0
 
     def action(self, coset: int, letter: int) -> int:
         """Apply a signed generator letter to a coset."""
@@ -154,8 +169,12 @@ def todd_coxeter(
     live = peak = 1
     # processed dead cosets share one read-only row with no 0 entry
     dead_row = (-1,) * ncols
+    blank = [0] * ncols
+    columns = range(ncols)
+    flipped = [col ^ 1 for col in columns]
 
     def rep(c: int) -> int:
+        # callers look up a root themselves: most cosets they meet are roots
         root = c
         while parent[root] != root:
             root = parent[root]
@@ -163,24 +182,14 @@ def todd_coxeter(
             parent[c], c = root, parent[c]
         return root
 
-    def define(alpha: int, col: int) -> int:
-        nonlocal live
-        if live >= max_cosets:
-            raise _Overflow
-        beta = len(table)
-        row = [0] * ncols
-        row[col ^ 1] = alpha
-        table.append(row)
-        parent.append(beta)
-        table[alpha][col] = beta
-        live += 1
-        return beta
-
     queue: deque[int] = deque()
 
     def merge(a: int, b: int) -> None:
         nonlocal live, peak
-        a, b = rep(a), rep(b)
+        if parent[a] != a:
+            a = rep(a)
+        if parent[b] != b:
+            b = rep(b)
         if a == b:
             return
         if a > b:
@@ -197,25 +206,29 @@ def todd_coxeter(
             gamma = queue.popleft()
             row = table[gamma]
             table[gamma] = dead_row
-            for col, delta in enumerate(row):
+            mu = rep(gamma)
+            for col, flip, delta in zip(columns, flipped, row):
                 if not delta:
                     continue
                 back = table[delta]
-                if back[col ^ 1] == gamma:
-                    back[col ^ 1] = 0
-                mu, nu = rep(gamma), rep(delta)
+                if back[flip] == gamma:
+                    back[flip] = 0
+                if parent[mu] != mu:
+                    mu = rep(mu)
+                nu = delta if parent[delta] == delta else rep(delta)
                 image = table[mu][col]
                 if image:
                     merge(nu, image)
                     continue
-                image = table[nu][col ^ 1]
+                image = table[nu][flip]
                 if image:
                     merge(mu, image)
                 else:
                     table[mu][col] = nu
-                    table[nu][col ^ 1] = mu
+                    table[nu][flip] = mu
 
     def scan_and_fill(alpha: int, word: tuple[int, ...], inverse: tuple[int, ...]) -> None:
+        nonlocal live
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
         while True:
@@ -237,7 +250,17 @@ def todd_coxeter(
                 table[f][word[i]] = b
                 table[b][inverse[i]] = f
                 return
-            f = define(f, word[i])
+            # define a new coset as the image of f under word[i]
+            if live >= max_cosets:
+                raise _Overflow
+            beta = len(table)
+            row = blank.copy()
+            row[inverse[i]] = f
+            table.append(row)
+            parent.append(beta)
+            table[f][word[i]] = beta
+            live += 1
+            f = beta
             i += 1
 
     def compacted() -> CosetTable:
@@ -252,6 +275,7 @@ def todd_coxeter(
             rows=tuple(tuple(map(renum.__getitem__, table[old])) for old in alive),
             defined=len(table) - 2,
             peak_live=max(peak, live),
+            coincidences=len(table) - 1 - live,
         )
 
     first_open = 1
@@ -300,9 +324,16 @@ def todd_coxeter(
             else:
                 # definitions never merge cosets, so alpha stays live here
                 row = table[alpha]
-                for col in range(ncols):
-                    if not row[col]:
-                        define(alpha, col)
+                for col, flip, beta in zip(columns, flipped, row):
+                    if not beta:
+                        if live >= max_cosets:
+                            raise _Overflow
+                        new = blank.copy()
+                        new[flip] = alpha
+                        row[col] = len(table)
+                        table.append(new)
+                        parent.append(row[col])
+                        live += 1
             alpha += 1
             countdown -= 1
             if not countdown:
@@ -315,6 +346,7 @@ def todd_coxeter(
             status=EXCEEDED,
             defined=len(table) - 2,
             peak_live=max(peak, live),
+            coincidences=len(table) - 1 - live,
         )
 
     if result is None:
@@ -341,12 +373,34 @@ def _verify_table(table: CosetTable, words: Sequence[tuple[int, ...]]) -> None:
             raise ConsistencyError("completed table column is not a permutation")
         if _compose(column, columns[col ^ 1]) != identity:
             raise ConsistencyError("completed table is not inverse-consistent")
-    for word in words:
-        perm = identity
-        for col in word:
-            perm = _compose(perm, columns[col])
-        if perm != identity:
-            raise ConsistencyError("relator does not trace to the identity")
+    # each relator, longest first, is placed in a prefix tree as the rotation
+    # of it or of its inverse that shares the longest prefix with those
+    # placed (see the module docstring); the key None marks a relator's end
+    tree: dict = {}
+    for word in sorted(words, key=len, reverse=True):
+        best, depth = word, -1
+        for w in (word, tuple(col ^ 1 for col in reversed(word))):
+            for i in range(len(w)):
+                rotation = w[i:] + w[:i]
+                node, k = tree, 0
+                while k < len(w) and rotation[k] in node:
+                    node = node[rotation[k]]
+                    k += 1
+                if k > depth:
+                    best, depth = rotation, k
+        node = tree
+        for col in best:
+            node = node.setdefault(col, {})
+        node[None] = None
+    stack = [(tree, identity)]
+    while stack:
+        node, perm = stack.pop()
+        for col, child in node.items():
+            if col is None:
+                if perm != identity:
+                    raise ConsistencyError("relator does not trace to the identity")
+            else:
+                stack.append((child, _compose(perm, columns[col])))
 
 
 def _compose(perm: Sequence[int], column: Sequence[int]) -> tuple[int, ...]:
@@ -375,7 +429,7 @@ def generator_element(table: CosetTable, gen: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def tensor_square_presentation(group: FiniteGroup) -> Presentation:
+def tensor_square_presentation(group: FiniteGroup, *, x_only: bool = False) -> Presentation:
     """A presentation of Rocco's group nu(G), with G as its subgroup.
 
     Rocco (Bol. Soc. Brasil. Mat. 22, 1991) presents nu(G) on G and a copy
@@ -392,6 +446,12 @@ def tensor_square_presentation(group: FiniteGroup) -> Presentation:
     ``z^phi [x, y^phi] z^-phi = [^z x, (^z y)^phi]`` for x, y in X and z in
     S = ``generating_set(group)``, freely and cyclically reduced, without
     duplicates.  The subgroup words are the letters of X.
+
+    With ``x_only`` z runs over X alone, one element of each unit of S, which
+    is all Ellis and Leonard need.  The 2-quotient path takes it, for fewer
+    relators (D16 26 instead of 34, Q16 44 instead of 60); enumeration keeps
+    S, whose inverses cut the live cosets (A5 peaks at 34,718 with them and
+    at 166,290 without).
     """
     n = group.order
     if n > HARD_MAX_ORDER:
@@ -416,7 +476,7 @@ def tensor_square_presentation(group: FiniteGroup) -> Presentation:
         for i, x in enumerate(gens)
     ]
     relators = schreier + [phi(w) for w in schreier]
-    for z in generating_set(group):
+    for z in gens if x_only else generating_set(group):
         for i, x in enumerate(gens):
             for j, y in enumerate(gens):
                 a, b = word[conjugate(group, z, x)], phi(word[conjugate(group, z, y)])
@@ -451,22 +511,39 @@ def spanning_tree(
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
     """X and a breadth-first tree of the right Cayley graph of G on X.
 
-    X holds the least element of each unit of ``generating_set(group)``, by
+    X holds one element of each unit of ``generating_set(group)``, by
     descending element order, ties by least element: whatever the labels, a
     generator of largest order is letter 1, so the Schreier relators along
-    its powers cancel freely.
+    its powers cancel freely.  The first unit gives its least element, and
+    each later unit the element y whose product with the previous generator
+    x is an involution, or else has the largest order, ties by least element.
+    The order of xy does not depend on the labels, nor does it change if x
+    and y are both inverted.  S4's presentation then has 524 relator letters
+    whatever the labels (516 or 524 by least element, and the 524-letter one
+    defines fewer cosets); A5 picks a product of order 2 where its unit
+    offers one (about 32,000 cosets defined) and of order 5 over order 3
+    (35,000-56,000 against 65,000-97,000).
     The tree has ``(g, parent, letter)`` for every g but the identity, with
     g = parent * X[i] for the letter ``i + 1`` and parent * X[i]^-1 for
     ``-(i + 1)``, letters tried in the order ``+1, -1, +2, -2, ...``.
     """
     def make():
         order = element_orders(group)
-        gens = tuple(
-            sorted(
-                (x for x in generating_set(group) if x <= group.inv[x]),
-                key=lambda x: (-order[x], x),
-            )
-        )
+
+        def product_rank(gens: list[int], y: int) -> tuple[bool, int]:
+            # an involution first, then the largest order
+            if not gens:
+                return False, 0
+            k = order[group.mul[gens[-1]][y]]
+            return k != 2, -k
+
+        gens: list[int] = []
+        for x in sorted(
+            (x for x in generating_set(group) if x <= group.inv[x]),
+            key=lambda x: (-order[x], x),
+        ):
+            # a label-free choice within the unit, ties by least element
+            gens.append(min({x, group.inv[x]}, key=lambda y: (product_rank(gens, y), y)))
         steps = [
             (letter, y)
             for i, x in enumerate(gens)
@@ -481,7 +558,7 @@ def spanning_tree(
                     seen.add(g)
                     frontier.append(g)
                     tree.append((g, parent, letter))
-        return gens, tuple(tree)
+        return tuple(gens), tuple(tree)
 
     return group.cached("spanning_tree", make)
 
@@ -496,8 +573,8 @@ def generating_set(group: FiniteGroup) -> tuple[int, ...]:
     do without is dropped, in the order added.  The trivial group gets its
     identity.  Conjugating by one element of each unit would do, but the
     inverses speed up the enumeration: A4 peaks at 549 live cosets instead
-    of 714, S4 at 3,476 instead of 3,907, A5 at 34,718 instead of 166,290.
-    Non-involutions first keep S4 at 3,476 and A4 at 549 (4,112 and 1,554
+    of 714, S4 at 2,541 instead of 2,914, A5 at 34,718 instead of 166,290.
+    Non-involutions first keep S4 at 2,541 and A4 at 549 (4,112 and 1,554
     otherwise), though A5 with an involution in place of its 3-cycles would
     peak at 14,061.
     """

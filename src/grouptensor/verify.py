@@ -18,7 +18,7 @@ worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import repeat
@@ -119,8 +119,7 @@ def corpus_from_file(path: str, max_order: int) -> list[CorpusEntry]:
     return _corpus([spec for spec in specs if spec], max_order)
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     """One evaluated instance: exact sides, verdict, and violation witness."""
 
     id: str
@@ -619,37 +618,35 @@ def _instances(ctx: EntryContext, check_id: str) -> list[dict]:
     return [inst for inst in check.generate(ctx) if check.keep(ctx, inst)]
 
 
-def _where(inst: dict) -> dict:
-    """The record fields that locate an instance."""
-    return {
-        "subgroup": inst["subgroup"].elements if "subgroup" in inst else None,
-        "normal": inst["normal"].elements if "normal" in inst else None,
-        "n": inst.get("n"),
-    }
+def _where(inst: dict) -> tuple:
+    """The record fields that locate an instance: subgroup, normal and n."""
+    return (
+        inst["subgroup"].elements if "subgroup" in inst else None,
+        inst["normal"].elements if "normal" in inst else None,
+        inst.get("n"),
+    )
 
 
 def _evaluate(ctx: EntryContext, check_id: str, inst: dict) -> TheoremCheck:
     """The record of one instance: evaluated, or skipped when a limit is hit."""
     check = CHECKS[check_id]
-    where = {"id": check_id, "group": ctx.spec, **_where(inst)}
+    where = _where(inst)
     try:
         if check.needs_tensor:
             ctx.tensor  # re-raises an overflow before the evaluator reads inst
         found = check.evaluate(ctx, inst)
     except LimitError as exc:
-        return TheoremCheck(**where, skipped=True, note=f"exceeded-limit: {exc}")
+        note = f"exceeded-limit: {exc}"
+        return TheoremCheck(check_id, ctx.spec, *where, skipped=True, note=note)
     lhs, rhs = found["lhs"], found["rhs"]
     relation = found.get("relation", "le")
     holds = lhs is not None and (lhs <= rhs if relation == "le" else lhs == rhs)
+    # positional, in field order
     return TheoremCheck(
-        **where,
-        variant=found.get("variant", inst.get("variant")),
-        lhs=lhs,
-        rhs=rhs,
-        relation=relation,
-        holds=holds,
-        note=None if holds else found.get("note"),
-        witness=None if holds else found.get("witness"),
+        check_id, ctx.spec, *where, found.get("variant", inst.get("variant")),
+        lhs, rhs, relation, holds, False,
+        None if holds else found.get("note"),
+        None if holds else found.get("witness"),
     )
 
 
@@ -671,10 +668,12 @@ def check_theorem(
         raise SpecError(f"unknown check id {check_id!r}")
     spec = instance["group"]
     ctx = EntryContext(spec, group_from_spec(spec), config or Config())
-    where = {key: instance.get(key) for key in ("subgroup", "normal", "n")}
-    for key in ("subgroup", "normal"):
-        if where[key] is not None:
-            where[key] = tuple(where[key])
+    subgroup, normal, n = (instance.get(key) for key in ("subgroup", "normal", "n"))
+    where = (
+        None if subgroup is None else tuple(subgroup),
+        None if normal is None else tuple(normal),
+        n,
+    )
     variant = instance.get("variant")
     for inst in _instances(ctx, check_id):
         matched = _where(inst) == where and inst.get("variant") in (None, variant)
@@ -682,8 +681,8 @@ def check_theorem(
             record = _evaluate(ctx, check_id, inst)
             # an overflow's one skipped record stands for every instance
             if matched or record.skipped:
-                return replace(record, **where)
-    return TheoremCheck(id=check_id, group=spec, **where, skipped=True, note="hypothesis-not-met")
+                return record._replace(subgroup=where[0], normal=where[1], n=where[2])
+    return TheoremCheck(check_id, spec, *where, skipped=True, note="hypothesis-not-met")
 
 
 def evaluate_entry(

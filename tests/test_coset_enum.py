@@ -89,7 +89,7 @@ def test_tensor_presentation_shape():
     # relators that coincide once reduced are kept once, which leaves D8 and
     # D32 with 34 relators each
     shapes = {"C1": (2, 3, 6), "C2": (2, 4, 20), "D8": (4, 34, 312),
-              "A4": (4, 54, 456), "D32": (4, 34, 352)}
+              "A4": (4, 54, 456), "D32": (4, 34, 352), "S4": (4, 58, 524)}
     for spec, (generators, relators, letters) in shapes.items():
         pres = tensor_square_presentation(group_from_spec(spec))
         assert pres.generator_count == generators, spec
@@ -323,22 +323,16 @@ def test_dump_table_renders():
     [
         "D16",
         "Q16",
-        pytest.param(
-            "S4",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="X takes the least element of each unit {x, x^-1}, a "
-                "choice made by labels: about half the relabellings give 524 "
-                "relator letters instead of 516",
-            ),
-        ),
+        "S4",
         "D24",
         "D32",
     ],
 )
 def test_presentation_size_is_label_invariant(spec):
     # the largest-order generator is letter 1 whatever the labels, so the
-    # Schreier relators along its powers cancel freely in every relabelling
+    # Schreier relators along its powers cancel freely in every relabelling;
+    # within a unit {x, x^-1} X takes the element whose product with the
+    # previous generator has the least order, so S4 always has 524 letters
     def size(group):
         pres = tensor_square_presentation(group)
         return pres.generator_count, len(pres.relators), sum(map(len, pres.relators))
@@ -364,6 +358,114 @@ def test_verify_table_rejects_inconsistent_tables():
         _verify_table(_c3_table(), [(0, 0, 0), (0, 0)])
 
 
+def columnwise_verify(table, words):
+    """The relator check as it was before the prefix tree, the oracle: every
+    relator composed letter by letter over every coset."""
+    n = table.coset_count
+    columns = list(zip(*table.rows))
+    identity = tuple(range(n))
+    for col, column in enumerate(columns):
+        if sorted(column) != list(identity):
+            raise ConsistencyError("completed table column is not a permutation")
+        if tuple(columns[col ^ 1][c] for c in column) != identity:
+            raise ConsistencyError("completed table is not inverse-consistent")
+    for word in words:
+        perm = identity
+        for col in word:
+            perm = tuple(columns[col][c] for c in perm)
+        if perm != identity:
+            raise ConsistencyError("relator does not trace to the identity")
+
+
+def _verdict(verify, table, words):
+    try:
+        verify(table, words)
+    except ConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+def _inverse_word(word):
+    return tuple(col ^ 1 for col in reversed(word))
+
+
+@st.composite
+def tables_and_relators(draw):
+    """A complete table of random permutations on a few cosets, and relators:
+    random words and, for some of them, an inverse of a rotation followed by
+    more letters, whose best rotation in the prefix tree is an inverse."""
+    n = draw(st.integers(1, 4))
+    gens = draw(st.integers(1, 2))
+    perms = [draw(st.permutations(range(n))) for _ in range(gens)]
+    rows = []
+    for c in range(n):
+        row = []
+        for perm in perms:
+            row += [perm[c], perm.index(c)]
+        rows.append(tuple(row))
+    table = CosetTable(gens, n, COMPLETED, tuple(rows))
+    letters = st.integers(0, 2 * gens - 1)
+    words = draw(st.lists(st.lists(letters, min_size=1, max_size=8).map(tuple), max_size=6))
+    for word in list(words):
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(word) - 1))
+            tail = draw(st.lists(letters, max_size=3).map(tuple))
+            words.append(_inverse_word(word[k:] + word[:k]) + tail)
+    return table, draw(st.permutations(words))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_and_relators())
+def test_prefix_tree_verification_matches_the_columnwise_oracle(case):
+    # a rotation of a relator or of its inverse is a conjugate of it, so it
+    # closes at every coset exactly when the relator does
+    table, words = case
+    assert _verdict(_verify_table, table, words) == _verdict(columnwise_verify, table, words)
+
+
+def test_prefix_tree_verification_catches_one_broken_relator():
+    # S3's nu table closes every relator; one relator lengthened by a letter
+    # that moves some coset breaks it alone, which the tree must see
+    # wherever that relator sits in it
+    pres = tensor_square_presentation(group_from_spec("S3"))
+    table = todd_coxeter(pres)
+    words = list(dict.fromkeys(tuple(coset_enum._column(a) for a in w) for w in pres.relators))
+    _verify_table(table, words)
+    col = next(c for c in range(2 * table.generator_count)
+               if any(row[c] != k for k, row in enumerate(table.rows)))
+    for i, word in enumerate(words):
+        broken = words[:i] + [word + (col,)] + words[i + 1:]
+        assert _verdict(columnwise_verify, table, broken) is not None
+        with pytest.raises(ConsistencyError, match="does not trace to the identity"):
+            _verify_table(table, broken)
+
+
+def test_prefix_tree_verification_catches_one_swapped_cell():
+    # swapping where one column sends two cosets breaks every relator through
+    # them; both checks must refuse the table, at every coset of S3's table
+    pres = tensor_square_presentation(group_from_spec("S3"))
+    table = todd_coxeter(pres)
+    words = list(dict.fromkeys(tuple(coset_enum._column(a) for a in w) for w in pres.relators))
+    n = table.coset_count
+    for c in range(n):
+        rows = [list(row) for row in table.rows]
+        d = (c + 1) % n
+        a, b = rows[c][2], rows[d][2]
+        rows[c][2], rows[d][2] = b, a
+        rows[a][3], rows[b][3] = d, c
+        broken = CosetTable(table.generator_count, n, COMPLETED, tuple(map(tuple, rows)))
+        assert _verdict(columnwise_verify, broken, words) is not None, c
+        assert _verdict(_verify_table, broken, words) == _verdict(columnwise_verify, broken, words)
+
+
+def test_coincidences_count_the_cosets_merged_away():
+    # every coset defined either survives or is merged away, for either status
+    for cap in (100, coset_enum.DEFAULT_MAX_COSETS):
+        table = todd_coxeter(tensor_square_presentation(group_from_spec("S3")), max_cosets=cap)
+        assert table.coincidences == table.defined + 1 - table.coset_count
+    assert table.status == COMPLETED and table.coincidences == 208
+
+
 def _counting_verify(monkeypatch):
     """Record, per call of ``_verify_table``, whether the table passed."""
     outcomes = []
@@ -385,12 +487,12 @@ def _counting_verify(monkeypatch):
 # that ran HLT to the last coset returned them; a seed names a relabelling
 EARLY_STOP_ROWS = {
     ("D16", None): "7e8816bb7fc6ae1e2de84c69ac6b6ffe92dd3bdc0ddfa4d5617a1972afca3528",
-    ("S4", None): "d8e8255ac5235a2f5d7b622272af0978d1834dc43588541fd4ecd64f48c4bbd8",
+    ("S4", None): "b574b8cea33f0150cf3a76ff13ec9515bf7b5af95db4daf8c3ffede85cf528a6",
     ("D24", None): "b5e6adc4d07a8897cc09c3b6945cb10905abc8cf2c0353f8d640afcfedfb618e",
     ("Q16", None): "044e6ff1e6752fab636576f127d66c4398742127d77a47d476476671677030ab",
     ("D32", None): "16ac545f755095c258dda314b2ee9613d3a90bfc9de99dffc9f6db164e3db719",
     ("D16", 1): "6dc8aa04d2ec5b76cf6e17f8441da3024e64fc2a7b71ac59a514ca0e4480c02f",
-    ("S4", 1): "069dd5efb91acd8fbd3fab35bf9edd2016dec20074582cfc5b26c5c5be099a89",
+    ("S4", 1): "c0f69a167108224d3fcc136866c40719474d8cb07ac043df912fa67b740fd9c7",
 }
 
 
@@ -410,7 +512,7 @@ def test_early_stop_returns_the_full_hlt_table(monkeypatch):
 
 @pytest.mark.parametrize(
     "spec,defined,peak_live",
-    [("D16", 4473, 1446), ("Q16", 3830, 1309), ("S4", 6248, 3476),
+    [("D16", 4473, 1446), ("Q16", 3830, 1309), ("S4", 5321, 2541),
      ("D24", 10352, 3275), ("D32", 19293, 6994)],
 )
 def test_enumeration_counters_pin_the_hlt_work(spec, defined, peak_live):

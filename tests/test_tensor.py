@@ -96,9 +96,9 @@ def nu_orders(monkeypatch):
     orders = []
     presentation = tensor_module.tensor_square_presentation
 
-    def counted(group):
+    def counted(group, **options):
         orders.append(group.order)
-        return presentation(group)
+        return presentation(group, **options)
 
     monkeypatch.setattr(tensor_module, "tensor_square_presentation", counted)
     return orders
