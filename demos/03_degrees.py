@@ -39,7 +39,8 @@ print()
 print("== the commutator distribution driving the dynamic program ==")
 s3 = group_from_spec("S3")
 dist = commutator_distribution(s3, full_subgroup(s3), 2)
-print(f"S3, pairs by commutator value: {dist.counts} (total {dist.total()})")
+counts = dict(sorted(dist.items()))
+print(f"S3, pairs by commutator value: {counts} (total {sum(counts.values())})")
 
 print()
 print("== n-step degrees of S3 hit (2^n - 1)/2^n exactly ==")

@@ -4,12 +4,10 @@ from .abelian import abelian_basis
 from .coset_enum import (
     CosetTable,
     Presentation,
-    generator_element,
     tensor_square_presentation,
     todd_coxeter,
 )
 from .degrees import (
-    CommutatorDistribution,
     comm_degree,
     commutator_distribution,
     format_decimal,

@@ -12,7 +12,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .coset_enum import DEFAULT_MAX_COSETS, dump_table
+from .coset_enum import DEFAULT_MAX_COSETS
 from .degrees import (
     comm_degree,
     format_decimal,
@@ -62,13 +62,14 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
     data = tensor_square(group, max_cosets=args.max_cosets)
     elapsed = time.perf_counter() - start
     if args.stats:
-        table = data.table
-        counters = (
-            f"defined {table.defined}, peak live {table.peak_live}, "
-            f"coincidences {table.coincidences}, cosets {table.coset_count}"
-            if table
-            else "not enumerated"
-        )
+        if data.counters:
+            defined, peak_live, coincidences = data.counters
+            counters = (
+                f"defined {defined}, peak live {peak_live}, "
+                f"coincidences {coincidences}, cosets {data.order * group.order}"
+            )
+        else:
+            counters = "not enumerated"
         print(f"stats: tensor square {elapsed:.3f} s, {counters}", file=sys.stderr)
     print(f"group: {group.name}")
     print(f"tensor square order: {data.order}")
@@ -76,26 +77,25 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
     print(f"tensor center order: {tensor_center(group, data).order}")
     cls = tensor_class(group, data)
     print(f"tensor class: {cls if cls is not None else 'none'}")
-    if args.dump_table:
-        none = "(no table: the tensor square was not enumerated)"
-        print(dump_table(data.table) if data.table else none)
     return 0
 
 
 def _cmd_degree(args: argparse.Namespace) -> int:
     group = group_from_spec(args.spec, max_order=args.max_order)
     data = tensor_square(group, max_cosets=args.max_cosets)
-    print(f"group: {group.name}")
-    print(f"d(G) = {_degree_line(comm_degree(group))}")
-    print(f"d_tensor(G) = {_degree_line(tensor_degree(group, data))}")
     subgroup = (
         subgroup_from_words(group, args.subgroup)
         if args.subgroup is not None
         else full_subgroup(group)
     )
     n = args.n if args.n is not None else 1
+    # every value before any output: an error leaves stdout empty
+    d, d_tensor = comm_degree(group), tensor_degree(group, data)
     value = rel_n_tensor_degree(group, data, subgroup, n)
     label = "G" if args.subgroup is None else f"<{args.subgroup}>"
+    print(f"group: {group.name}")
+    print(f"d(G) = {_degree_line(d)}")
+    print(f"d_tensor(G) = {_degree_line(d_tensor)}")
     print(f"d_tensor[n={n}]({label}, G) = {_degree_line(value)}")
     return 0
 
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, squares: bool = True) -> None:
         p.add_argument("spec", help="group spec, e.g. D8, C2xC4, E2^3")
         p.add_argument(
             "--max-order",
@@ -146,24 +146,20 @@ def build_parser() -> argparse.ArgumentParser:
             default=HARD_MAX_ORDER,
             help=f"largest accepted group order (default {HARD_MAX_ORDER})",
         )
-        p.add_argument(
-            "--max-cosets",
-            type=int,
-            default=DEFAULT_MAX_COSETS,
-            help="coset limit for tensor-square enumeration",
-        )
+        if squares:
+            p.add_argument(
+                "--max-cosets",
+                type=int,
+                default=DEFAULT_MAX_COSETS,
+                help="coset limit for tensor-square enumeration",
+            )
 
     p_info = sub.add_parser("info", help="order, center, derived subgroup, class")
-    add_common(p_info)
+    add_common(p_info, squares=False)
     p_info.set_defaults(func=_cmd_info)
 
     p_tensor = sub.add_parser("tensor", help="tensor square and derived structure")
     add_common(p_tensor)
-    p_tensor.add_argument(
-        "--dump-table",
-        action="store_true",
-        help="dump the coset table of the tensor-square enumeration",
-    )
     p_tensor.add_argument(
         "--stats",
         action="store_true",

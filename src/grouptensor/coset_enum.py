@@ -410,20 +410,6 @@ def _compose(perm: Sequence[int], column: Sequence[int]) -> tuple[int, ...]:
     return itemgetter(*perm)(column)
 
 
-def generator_element(table: CosetTable, gen: int) -> int:
-    """The coset that a generator sends coset 0 to.
-
-    This is 0 exactly when the generator lies in the subgroup.  Over the
-    trivial subgroup the table is the regular representation, coset 0 is the
-    identity and the row-0 image of a generator identifies its element.
-    """
-    if table.status != COMPLETED:
-        raise RuntimeError("generator_element requires a completed table")
-    if not 0 <= gen < table.generator_count:
-        raise ValueError(f"generator index {gen} out of range")
-    return table.rows[0][2 * gen]
-
-
 # ---------------------------------------------------------------------------
 # Presentations of interest
 # ---------------------------------------------------------------------------
@@ -601,15 +587,3 @@ def generating_set(group: FiniteGroup) -> tuple[int, ...]:
             chosen = rest
     return tuple(sorted(x for unit in chosen for x in unit))
 
-
-def dump_table(table: CosetTable) -> str:
-    """Text matrix of the table: one row per coset, one column per signed generator."""
-    if table.status != COMPLETED:
-        return f"(no table: status {table.status}, live cosets {table.coset_count})"
-    width = len(str(table.coset_count - 1)) + 2
-    columns = [f"g{g}{mark}" for g in range(table.generator_count) for mark in ("", "'")]
-    lines = [
-        "".join(str(x).rjust(width) for x in [label, *row])
-        for label, row in [("", columns), *enumerate(table.rows)]
-    ]
-    return "\n".join(lines)

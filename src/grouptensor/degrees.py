@@ -11,11 +11,10 @@ enumerates tuples directly and exists as its independent correctness oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import LimitError
+from .errors import LimitError, SpecError
 from .groups import FiniteGroup, SubgroupHandle, commutator, full_subgroup, iterated_commutator
 from .tensor import TensorSquareData
 
@@ -39,17 +38,6 @@ def format_decimal(value: Fraction, places: int = 3) -> str:
     return f"{sign}{whole}.{frac:0{places}d}"
 
 
-@dataclass(frozen=True)
-class CommutatorDistribution:
-    """Counts of n-tuples from a subgroup by their left-normed commutator value."""
-
-    n: int
-    counts: dict[int, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
 def rel_comm_degree(group: FiniteGroup, h: SubgroupHandle) -> Fraction:
     """Probability that a pair from H x G commutes, exactly."""
     mul = group.mul
@@ -65,15 +53,16 @@ def comm_degree(group: FiniteGroup) -> Fraction:
 
 def commutator_distribution(
     group: FiniteGroup, h: SubgroupHandle, n: int
-) -> CommutatorDistribution:
-    """Distribution of [x1, ..., xn] over tuples from H, by one-step recursion.
+) -> dict[int, int]:
+    """Counts of n-tuples from H by their left-normed commutator [x1, ..., xn].
 
     Level 1 is the indicator of H; level k+1 sends mass c_k(v) to [v, x] for
     every x in H.  Iterated commutators of subgroup elements stay in the
-    subgroup, so the support never leaves H.
+    subgroup, so the support never leaves H, and the counts sum to |H|^n.
+    Keys are in no particular order.
     """
     if n < 1:
-        raise ValueError("commutator distribution needs n >= 1")
+        raise SpecError(f"degree index n must be at least 1, got {n}")
     counts = {v: 1 for v in h.elements}
     for _ in range(n - 1):
         nxt: dict[int, int] = {}
@@ -82,20 +71,15 @@ def commutator_distribution(
                 w = commutator(group, v, x)
                 nxt[w] = nxt.get(w, 0) + mass
         counts = nxt
-    ordered = {v: counts[v] for v in sorted(counts)}
-    return CommutatorDistribution(n=n, counts=ordered)
+    return counts
 
 
 def rel_n_tensor_degree(
     group: FiniteGroup, data: TensorSquareData, h: SubgroupHandle, n: int
 ) -> Fraction:
     """Probability that ``[h1, ..., hn] (x) g`` is trivial, via the distribution."""
-    if n < 1:
-        raise ValueError("degree index n must be >= 1")
     dist = commutator_distribution(group, h, n)
-    hits = sum(
-        mass * data.centralizer_size(v) for v, mass in dist.counts.items()
-    )
+    hits = sum(mass * data.centralizer_size(v) for v, mass in dist.items())
     return Fraction(hits, h.order**n * group.order)
 
 
@@ -104,7 +88,7 @@ def rel_n_tensor_degree_naive(
 ) -> Fraction:
     """Direct tuple enumeration of the same probability; the oracle path."""
     if n < 1:
-        raise ValueError("degree index n must be >= 1")
+        raise SpecError(f"degree index n must be at least 1, got {n}")
     work = h.order**n * group.order
     if work > NAIVE_TUPLE_LIMIT:
         raise LimitError(f"naive enumeration of {work} tuples refused")

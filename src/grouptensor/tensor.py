@@ -71,14 +71,15 @@ class TensorSquareData:
     """Order of the tensor square plus the pair-triviality matrix.
 
     ``trivial[x][y]`` is True exactly when ``x (x) y`` is the identity of the
-    tensor-square group.  ``table`` is the coset table it was read from, or
-    None if the group was not enumerated.
+    tensor-square group.  ``counters`` is ``(defined, peak_live,
+    coincidences)`` of the enumeration it was read from (see ``CosetTable``),
+    or None if the group was not enumerated.
     """
 
     parent: FiniteGroup
     order: int
     trivial: tuple[tuple[bool, ...], ...]
-    table: Optional[CosetTable] = None
+    counters: Optional[tuple[int, int, int]] = None
 
     def centralizer_size(self, x: int) -> int:
         return sum(self.trivial[x])
@@ -184,7 +185,8 @@ def _from_table(group: FiniteGroup, table: CosetTable) -> TensorSquareData:
 
     columns = [[c == image for image in walk(c, 0)] for c in walk(0, table.generator_count // 2)]
     trivial = tuple(tuple(row) for row in zip(*columns))
-    return TensorSquareData(group, table.coset_count // n, trivial, table)
+    counters = (table.defined, table.peak_live, table.coincidences)
+    return TensorSquareData(group, table.coset_count // n, trivial, counters)
 
 
 def _from_two_quotient(group: FiniteGroup, max_cosets: int) -> TensorSquareData:

@@ -1,10 +1,13 @@
 import json
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
-from grouptensor import tensor as tensor_module
-from grouptensor.cli import main
+import pytest
+
+from grouptensor.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -44,28 +47,6 @@ def test_tensor(capsys):
     assert "J2 order: 16" in out
     assert "tensor center order: 1" in out
     assert "tensor class: 3" in out
-
-
-def test_tensor_dump_table(capsys, monkeypatch):
-    # the dump is the table tensor_square enumerated: S3 enumerates once,
-    # and C2xS3, assembled from its factors' squares, not at all
-    calls = []
-
-    def counted(presentation, max_cosets):
-        calls.append(presentation)
-        return enumerate_cosets(presentation, max_cosets)
-
-    enumerate_cosets = tensor_module.todd_coxeter
-    monkeypatch.setattr(tensor_module, "todd_coxeter", counted)
-    monkeypatch.setattr(tensor_module, "_tensor_cache", {})
-    code, out, _ = run_cli(capsys, "tensor", "S3", "--dump-table")
-    assert code == 0 and len(calls) == 1
-    # S3 in nu(S3): generators g0, g1 and their copies g2, g3; 36 cosets
-    assert "g0" in out and "g3'" in out and "\n  35" in out
-    code, out, _ = run_cli(capsys, "tensor", "C2xS3", "--dump-table")
-    assert code == 0 and len(calls) == 1
-    assert "tensor square order: 48" in out
-    assert "(no table: the tensor square was not enumerated)" in out
 
 
 def test_tensor_stats_go_to_stderr_only(capsys):
@@ -119,6 +100,35 @@ def test_max_cosets_below_one_exit_2(capsys):
     for argv in (("tensor", "D8"), ("degree", "S3"), ("tensor", "C2xC4")):
         code, _, err = run_cli(capsys, *argv, "--max-cosets", "0")
         assert code == 2 and "max_cosets must be at least 1" in err, argv
+
+
+def test_options_a_command_lacks_exit_2(capsys):
+    # tensor keeps no coset table to dump, and info squares no group
+    for argv in (("tensor", "S3", "--dump-table"), ("info", "S3", "--max-cosets", "5")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+
+def test_degree_index_below_one_exit_2_before_any_output(capsys):
+    code, out, err = run_cli(capsys, "degree", "S3", "--n", "0")
+    assert code == 2 and out == ""
+    assert "degree index n must be at least 1" in err
+
+
+def test_readme_command_lines_parse():
+    # every grouptensor line of the README's Command line block, continuations joined
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()
+    ]
+    commands = [argv for argv in commands if argv and argv[0] == "grouptensor"]
+    assert len(commands) >= 7
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 def test_usage_error_exit_2():

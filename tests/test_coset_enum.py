@@ -9,7 +9,6 @@ from grouptensor import (
     FiniteGroup,
     Presentation,
     SpecError,
-    generator_element,
     group_from_spec,
     tensor_square,
     tensor_square_presentation,
@@ -23,7 +22,6 @@ from grouptensor.coset_enum import (
     EXCEEDED,
     CosetTable,
     _verify_table,
-    dump_table,
     generating_set,
     spanning_tree,
 )
@@ -77,8 +75,8 @@ def test_enumeration_over_a_subgroup():
     s4 = standard_presentation("symmetric", 4)
     table = todd_coxeter(Presentation(3, s4.relators, ((1,), (2,))))
     assert table.status == COMPLETED and table.coset_count == 4
-    assert generator_element(table, 0) == generator_element(table, 1) == 0
-    assert generator_element(table, 2) != 0
+    assert table.action(0, 1) == table.action(0, 2) == 0
+    assert table.action(0, 3) != 0
     d8 = standard_presentation("dihedral", 8)
     assert todd_coxeter(Presentation(2, d8.relators, ((1,),))).coset_count == 2
 
@@ -149,7 +147,7 @@ def oracle_square(group):
         assert len(oracle.relators) == 2 * n**3
         table = todd_coxeter(oracle)
         trivial = tuple(
-            tuple(generator_element(table, g * n + x) == 0 for x in range(n)) for g in range(n)
+            tuple(table.action(0, g * n + x + 1) == 0 for x in range(n)) for g in range(n)
         )
         _ORACLE[key] = (table.coset_count, trivial)
     return _ORACLE[key]
@@ -254,19 +252,12 @@ def test_generator_element_identity_rows():
     table = todd_coxeter(tensor_square_presentation(g))
     m = table.generator_count // 2
     for i in range(m):
-        assert generator_element(table, i) == 0
-        assert generator_element(table, m + i) != 0
+        assert table.action(0, i + 1) == 0
+        assert table.action(0, m + i + 1) != 0
     # pairs with the identity on either side are trivial, and C2's other pair is not
     c2 = group_from_spec("C2")
     t2 = todd_coxeter(tensor_square_presentation(c2))
     assert tensor_module._from_table(c2, t2).trivial == ((True, True), (True, False))
-
-
-def test_generator_element_requires_completed():
-    table = todd_coxeter(tensor_square_presentation(group_from_spec("D8")), max_cosets=10)
-    assert table.status == EXCEEDED
-    with pytest.raises(RuntimeError):
-        generator_element(table, 0)
 
 
 def test_exceeded_limit_reported_not_raised():
@@ -309,13 +300,6 @@ def _fake_big_group():
 
     g = cyclic(8)
     return direct_product(direct_product(g, cyclic(8)), cyclic(2), max_order=128)
-
-
-def test_dump_table_renders():
-    table = todd_coxeter(standard_presentation("cyclic", 4))
-    text = dump_table(table)
-    assert "g0" in text
-    assert len(text.splitlines()) == 5
 
 
 @pytest.mark.parametrize(

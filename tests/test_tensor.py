@@ -267,6 +267,15 @@ def test_indecomposable_two_groups_leave_the_enumerator(groups, monkeypatch):
         assert tensor_square(groups(spec)).order == order, spec
 
 
+def test_only_enumerated_squares_keep_counters(groups):
+    # (defined, peak_live, coincidences) of the enumeration of nu(G) over G;
+    # the 2-quotient (D8), product (C2xS3) and abelian (C4) paths enumerate nothing
+    assert tensor_square(groups("S3")).counters == (243, 180, 208)
+    assert tensor_square(groups("S4")).counters == (5321, 2541, 4170)
+    for spec in ("D8", "C2xS3", "C4"):
+        assert tensor_square(groups(spec)).counters is None, spec
+
+
 def test_the_coset_cap_bounds_the_two_quotient_path(groups):
     # enumeration would reach |nu(Q8)| / |Q8| = 8 * 64 cosets
     q8 = groups("Q8")
