@@ -188,7 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated check ids, or 'all'",
     )
     p_verify.add_argument("--max-order", type=int, default=16)
-    p_verify.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
+    p_verify.add_argument(
+        "--max-cosets",
+        type=int,
+        default=DEFAULT_MAX_COSETS,
+        help="coset limit for tensor-square enumeration",
+    )
     p_verify.add_argument(
         "--n-max", type=int, default=4, help="largest degree index to exercise"
     )

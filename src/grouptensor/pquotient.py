@@ -51,7 +51,7 @@ presentation of a finite 2-group, that group itself.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .coset_enum import Presentation
 from .errors import ConsistencyError
@@ -86,12 +86,11 @@ def _letters(images: Sequence[int], mul: Callable[[int, int], int]) -> dict[int,
     return letters
 
 
-def two_quotient(presentation: Presentation, max_length: int) -> Optional[PcQuotient]:
-    """The largest 2-quotient of the presented group, or None once a class
-    has more than ``max_length`` pc generators.
+def two_quotient(presentation: Presentation) -> PcQuotient:
+    """The largest 2-quotient of the presented group.
 
-    The subgroup words play no part.  The presented group must have a
-    largest finite 2-quotient, as every finite group does.
+    The subgroup words play no part.  The largest 2-quotient must be finite,
+    as it is for every finite group; otherwise the class loop never ends.
     """
     relators = presentation.relators
     sums = []
@@ -107,11 +106,9 @@ def two_quotient(presentation: Presentation, max_length: int) -> Optional[PcQuot
     weight = [1] * n
     power = [0] * n
     conj = [[1 << j for j in range(n)] for _ in range(n)]
-    while n <= max_length:
-        if not n or not (added := _cover(weight, definitions, power, conj, images, relators)):
-            return PcQuotient(n, tuple(images), _collector(n, power, conj))
+    while n and (added := _cover(weight, definitions, power, conj, images, relators)):
         n += added
-    return None
+    return PcQuotient(n, tuple(images), _collector(n, power, conj))
 
 
 def _eliminate(relations: Iterable[int]) -> dict[int, int]:

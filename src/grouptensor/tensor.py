@@ -29,9 +29,9 @@ paths that applies:
 * every other group is realized by enumerating the cosets of G in nu(G);
   ``_from_table`` reads the order and the matrix from the cosets.
 
-``max_cosets`` bounds the cosets of an enumeration, and on the 2-group path
-the count enumeration would reach, ``|nu(G)| / |G|``: either raises the same
-``LimitError``.
+``max_cosets`` bounds the live cosets of an enumeration and nothing else.
+The 2-group path needs no bound: nu(G) is a finite 2-group, so the class loop
+ends, and ``tensor_square_presentation`` refuses groups above order 64.
 
 Every result, whichever path made it, is validated for the structural facts
 later computations rely on (rows and columns of the identity are trivial, the
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import NoReturn, Optional
+from typing import Callable, Optional
 
 from .abelian import bilinear_tensor
 from .coset_enum import (
@@ -94,8 +94,9 @@ def tensor_square(
 ) -> TensorSquareData:
     """Tensor square of ``group``; raises LimitError past ``max_cosets``.
 
-    Only the squares read from nu(G) are bounded by ``max_cosets``: those of
-    a nonabelian group that is not a direct product, or of such a factor.
+    Only enumerated squares are bounded by ``max_cosets``: those of a
+    nonabelian group that is neither a direct product nor a 2-group, or of
+    such a factor.
     The path is read from the table alone, so results are memoized on the
     table and the bound: equal tables share one computation per process.
     ``max_cosets`` below 1 is a SpecError whichever path the group takes.
@@ -118,21 +119,19 @@ def _square(group: FiniteGroup, max_cosets: int) -> TensorSquareData:
     elif (factors := direct_factors(group)) is not None:
         data = _product(group, *factors, max_cosets)
     elif group.order & (group.order - 1) == 0:
-        data = _from_two_quotient(group, max_cosets)
+        data = _from_two_quotient(group)
     else:
         table = todd_coxeter(tensor_square_presentation(group), max_cosets=max_cosets)
         if table.status != COMPLETED:
-            _overflow(group, max_cosets)
+            # a factor is named after its parent, as in C2xS3<6>
+            raise LimitError(
+                f"tensor-square enumeration for {group.name} exceeded {max_cosets} cosets"
+            )
         data = _from_table(group, table)
     _validate(data)
     with _cache_lock:
         _tensor_cache.setdefault(key, data)
     return data
-
-
-def _overflow(group: FiniteGroup, max_cosets: int) -> NoReturn:
-    # a factor is named after its parent, as in C2xQ8<8>
-    raise LimitError(f"tensor-square enumeration for {group.name} exceeded {max_cosets} cosets")
 
 
 def _product(
@@ -174,47 +173,40 @@ def _from_table(group: FiniteGroup, table: CosetTable) -> TensorSquareData:
     if table.coset_count % n:
         raise ConsistencyError(f"{table.coset_count} cosets is not a multiple of |G| = {n}")
     _, tree = spanning_tree(group)
-
-    def walk(start: int, shift: int) -> list[int]:
-        # image[g]: coset ``start`` times w(g), or times w(g)^phi when shift is |X|
-        image = [start] * n
-        for g, parent, letter in tree:
-            step = letter + shift if letter > 0 else letter - shift
-            image[g] = table.action(image[parent], step)
-        return image
-
-    columns = [[c == image for image in walk(c, 0)] for c in walk(0, table.generator_count // 2)]
+    act, m = table.action, table.generator_count // 2
+    columns = [[c == image for image in _walk(tree, c, act, 0)] for c in _walk(tree, 0, act, m)]
     trivial = tuple(tuple(row) for row in zip(*columns))
     counters = (table.defined, table.peak_live, table.coincidences)
     return TensorSquareData(group, table.coset_count // n, trivial, counters)
 
 
-def _from_two_quotient(group: FiniteGroup, max_cosets: int) -> TensorSquareData:
-    """Order and matrix from nu(G) as its largest 2-quotient, for a 2-group G.
-
-    Enumeration would need ``|nu(G)| / |G|`` cosets, so the quotient is
-    abandoned once it has more than ``max_cosets * |G|`` elements.
-    """
+def _from_two_quotient(group: FiniteGroup) -> TensorSquareData:
+    """Order and matrix from nu(G) as its largest 2-quotient, for a 2-group G."""
     # imported on first use: a process that squares no 2-group never loads it
     from .pquotient import two_quotient
 
     presentation = tensor_square_presentation(group, x_only=True)
-    nu = two_quotient(presentation, (max_cosets * group.order).bit_length() - 1)
-    if nu is None:
-        _overflow(group, max_cosets)
+    nu = two_quotient(presentation)
     mul, letters, m = nu.mul, nu.letters(), presentation.generator_count // 2
     _, tree = spanning_tree(group)
 
-    def walk(shift: int) -> list[int]:
-        # image[g]: the image of w(g), or of w(g)^phi when shift is |X|
-        image = [0] * group.order
-        for g, parent, letter in tree:
-            image[g] = mul(image[parent], letters[letter + shift if letter > 0 else letter - shift])
-        return image
+    def act(x: int, letter: int) -> int:
+        return mul(x, letters[letter])
 
-    copies = walk(m)
-    trivial = tuple(tuple(mul(x, y) == mul(y, x) for y in copies) for x in walk(0))
+    copies = _walk(tree, 0, act, m)
+    trivial = tuple(tuple(mul(x, y) == mul(y, x) for y in copies) for x in _walk(tree, 0, act, 0))
     return TensorSquareData(group, nu.order // group.order**2, trivial)
+
+
+def _walk(
+    tree: tuple[tuple[int, int, int], ...], start: int, act: Callable[[int, int], int], shift: int
+) -> list[int]:
+    """``image[g]``: ``start`` acted on by the letters of w(g) along ``tree``
+    (``spanning_tree``), or by those of w(g)^phi when ``shift`` is |X|."""
+    image = [start] * (len(tree) + 1)
+    for g, parent, letter in tree:
+        image[g] = act(image[parent], letter + shift if letter > 0 else letter - shift)
+    return image
 
 
 def _validate(data: TensorSquareData) -> None:

@@ -91,12 +91,12 @@ def test_errors_exit_2(capsys):
     assert code == 2 and "error" in err
     code, _, err = run_cli(capsys, "degree", "S3", "--subgroup", "q^2")
     assert code == 2
-    code, _, err = run_cli(capsys, "tensor", "D8", "--max-cosets", "10")
+    code, _, err = run_cli(capsys, "tensor", "S3", "--max-cosets", "10")
     assert code == 2 and "exceeded" in err
 
 
 def test_max_cosets_below_one_exit_2(capsys):
-    # rejected whether the square is enumerated (D8, S3) or not (C2xC4)
+    # rejected whether the square is enumerated (S3) or not (D8, C2xC4)
     for argv in (("tensor", "D8"), ("degree", "S3"), ("tensor", "C2xC4")):
         code, _, err = run_cli(capsys, *argv, "--max-cosets", "0")
         assert code == 2 and "max_cosets must be at least 1" in err, argv
@@ -117,18 +117,33 @@ def test_degree_index_below_one_exit_2_before_any_output(capsys):
     assert "degree index n must be at least 1" in err
 
 
-def test_readme_command_lines_parse():
-    # every grouptensor line of the README's Command line block, continuations joined
+def readme_commands():
+    """(argv, exit code) for every grouptensor line of the README's Command
+    line block, continuations joined; the code is 0 unless the line's
+    comment says ``exit N``."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [
-        shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()
-    ]
-    commands = [argv for argv in commands if argv and argv[0] == "grouptensor"]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv and argv[0] == "grouptensor":
+            code = re.search(r"#.*\bexit (\d)", line)
+            commands.append((argv, int(code.group(1)) if code else 0))
     assert len(commands) >= 7
+    return commands
+
+
+def test_readme_command_lines_parse():
     parser = build_parser()
-    for argv in commands:
+    for argv, _ in readme_commands():
         parser.parse_args(argv[1:])
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv, code in readme_commands():
+        assert main(argv[1:]) == code, argv
+        capsys.readouterr()
 
 
 def test_usage_error_exit_2():

@@ -146,20 +146,19 @@ def test_two_factor_products_match_enumeration(left, right):
 
 def test_limit_propagates_with_group_name(groups):
     with pytest.raises(LimitError) as err:
-        tensor_square(groups("Q8"), max_cosets=5)
-    assert str(err.value) == "tensor-square enumeration for Q8 exceeded 5 cosets"
+        tensor_square(groups("S3"), max_cosets=5)
+    assert str(err.value) == "tensor-square enumeration for S3 exceeded 5 cosets"
     with pytest.raises(LimitError) as err:
-        tensor_square(group_from_spec("C2xQ8"), max_cosets=5)
-    assert "tensor-square enumeration for C2xQ8<8> exceeded 5 cosets" in str(err.value)
+        tensor_square(group_from_spec("C2xS3"), max_cosets=5)
+    assert "tensor-square enumeration for C2xS3<6> exceeded 5 cosets" in str(err.value)
 
 
 def test_product_tables_take_the_product_path_however_labelled(monkeypatch):
-    # the cap counts |nu(G)| / |G|: 512 for Q8, 16 * 2048 for C2xQ8 itself
     product = group_from_spec("C2xQ8")
     orders = nu_orders(monkeypatch)
     for group in (shuffled(product), FiniteGroup(product.mul)):
         tensor_module._tensor_cache.clear()
-        assert tensor_square(group, max_cosets=700).order == 2048
+        assert tensor_square(group).order == 2048
     # each reads only its Q8 factor from nu
     assert orders == [8, 8]
 
@@ -170,7 +169,7 @@ def test_product_quotient_takes_the_product_path(monkeypatch):
     q, _ = quotient(g, SubgroupHandle(g, (0, 2)))
     assert q.order == 16 and not q.is_abelian()
     orders = nu_orders(monkeypatch)
-    assert tensor_square(q, max_cosets=700).order == 2048
+    assert tensor_square(q).order == 2048
     assert orders == [8]
 
 
@@ -221,14 +220,14 @@ def pauli(groups):
 def test_two_quotient_path_matches_enumeration_however_labelled(spec, data):
     group = group_from_spec(spec)
     group = relabeled(group, [0, *data.draw(st.permutations(range(1, group.order)))])
-    square = tensor_module._from_two_quotient(group, DEFAULT_MAX_COSETS)
+    square = tensor_module._from_two_quotient(group)
     assert (square.order, square.trivial) == enumerated(group)
 
 
 def test_two_quotient_path_matches_enumeration_on_d32_and_q8_o_c4(groups):
     # enumerating nu(Q8 o C4) takes about 1 s: |G (x) G| = 512
     for group in (groups("D32"), pauli(groups)):
-        square = tensor_module._from_two_quotient(group, DEFAULT_MAX_COSETS)
+        square = tensor_module._from_two_quotient(group)
         assert (square.order, square.trivial) == enumerated(group), group.name
     assert square.order == 512
 
@@ -242,16 +241,15 @@ def test_weight_bounded_test_words_give_the_quotient_all_test_words_give(groups,
 
     cases = [groups("D16"), groups("Q16"), groups("D32"), pauli(groups), extraspecial_32(groups)]
     cases += d8xd8_subgroups(groups)[:2]
-    bounded = [tensor_module._from_two_quotient(g, 2**21) for g in cases]
+    bounded = [tensor_module._from_two_quotient(g) for g in cases]
     monkeypatch.setattr(pquotient, "_test_words", all_test_words)
     for group, square in zip(cases, bounded):
-        full = tensor_module._from_two_quotient(group, 2**21)
+        full = tensor_module._from_two_quotient(group)
         assert (square.order, square.trivial) == (full.order, full.trivial), group.name
 
 
 def test_indecomposable_two_groups_leave_the_enumerator(groups, monkeypatch):
-    # the order-32 subgroups of D8xD8 took 25 s or 60 s each to enumerate,
-    # and 2^{1+4}_+ overflowed the default cap
+    # the order-32 subgroups of D8xD8 took 25 s or 60 s each to enumerate
     def refuse(*args, **kwargs):
         raise AssertionError("a 2-group was enumerated")
 
@@ -261,7 +259,7 @@ def test_indecomposable_two_groups_leave_the_enumerator(groups, monkeypatch):
     orders = sorted(tensor_square(g).order for g in d8xd8_subgroups(groups))
     assert orders == [2048] * 4 + [4096] * 5
     # Brown, Johnson and Robertson: |E (x) E| = 2^16 for E = 2^{1+4}_+
-    assert tensor_square(extraspecial_32(groups), max_cosets=2**21).order == 2**16
+    assert tensor_square(extraspecial_32(groups)).order == 2**16
     assert time.monotonic() - started < 10.0
     for spec, order in [("D8", 32), ("Q8", 64), ("D16", 64), ("Q16", 64), ("D64", 256)]:
         assert tensor_square(groups(spec)).order == order, spec
@@ -276,15 +274,11 @@ def test_only_enumerated_squares_keep_counters(groups):
         assert tensor_square(groups(spec)).counters is None, spec
 
 
-def test_the_coset_cap_bounds_the_two_quotient_path(groups):
-    # enumeration would reach |nu(Q8)| / |Q8| = 8 * 64 cosets
-    q8 = groups("Q8")
-    with pytest.raises(LimitError, match="exceeded 511 cosets"):
-        tensor_square(q8, max_cosets=511)
-    assert tensor_square(q8, max_cosets=512).order == 64
-    # 2^{1+4}_+ would need 32 * 2^16 cosets
-    with pytest.raises(LimitError, match="for D8xD8/N2 exceeded 1000000 cosets"):
-        tensor_square(extraspecial_32(groups))
+def test_the_two_quotient_path_ignores_the_coset_cap(groups):
+    # enumeration would need 8 * 64 cosets for Q8 and 32 * 2^16 for
+    # 2^{1+4}_+, but the 2-quotient path holds no coset table
+    assert tensor_square(groups("Q8"), max_cosets=1).order == 64
+    assert tensor_square(extraspecial_32(groups)).order == 2**16
 
 
 @pytest.mark.slow
@@ -296,6 +290,63 @@ def test_two_quotient_path_matches_enumeration_on_d8xd8_subgroups(groups):
     for order in (2048, 4096):
         square = tensor_square(picked[order])
         assert (square.order, square.trivial) == enumerated(picked[order]), order
+
+
+def test_two_group_pieces_of_order_64_products_square_without_a_cap(monkeypatch):
+    # every nonabelian indecomposable subgroup or quotient takes the
+    # 2-quotient path under the default cap, with at most 26 pc generators
+    lengths = []
+    two_quotient = pquotient.two_quotient
+
+    def measured(presentation):
+        nu = two_quotient(presentation)
+        lengths.append(nu.length)
+        return nu
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 2-group was enumerated")
+
+    monkeypatch.setattr(tensor_module, "_tensor_cache", {})
+    monkeypatch.setattr(tensor_module, "todd_coxeter", refuse)
+    monkeypatch.setattr(pquotient, "two_quotient", measured)
+    pieces = {}
+    for spec in ("D8xD8", "D8xQ8", "Q8xQ8"):
+        g = group_from_spec(spec)
+        for piece in [subgroup_as_group(h)[0] for h in all_subgroups(g)] + [
+            quotient(g, n)[0] for n in normal_subgroups(g)
+        ]:
+            if indecomposable(piece):
+                pieces.setdefault(piece.table_key(), piece)
+    for piece in pieces.values():
+        square = tensor_square(piece)
+        assert square.order * piece.order**2 == 2 ** lengths[-1], piece.name
+    assert len(lengths) == len(pieces) == 61
+    assert max(lengths) == 26
+
+
+@pytest.mark.parametrize("m", range(2, 33))
+def test_dihedral_squares_match_the_closed_form(groups, m):
+    # Brown, Johnson and Robertson: |D (x) D| = 8m for D of order 2m with m
+    # even, 2m with m odd; D4 is abelian, D12 a product, D8 to D64 2-groups,
+    # and the others enumerate
+    assert tensor_square(groups(f"D{2 * m}")).order == (8 * m if m % 2 == 0 else 2 * m)
+
+
+def test_a5_square_is_the_universal_central_extension(groups):
+    # Brown and Loday: for a perfect group G, G (x) G is its universal
+    # central extension, SL(2, 5) for A5, and J2 = M(A5) has order 2
+    a5 = groups("A5")
+    data = tensor_square(a5)
+    assert data.order == 120
+    assert j2_order(a5, data) == 2
+
+
+def test_two_quotient_path_matches_enumeration_on_d64(groups):
+    # enumerating nu(D64) takes about 1 s: 64 * 256 cosets
+    d64 = groups("D64")
+    square = tensor_module._from_two_quotient(d64)
+    assert (square.order, square.trivial) == enumerated(d64)
+    assert square.order == 256
 
 
 def test_products_and_abelian_groups_finish_fast(monkeypatch):

@@ -62,22 +62,19 @@ def test_corpus_entries_reparse(tmp_path):
 def test_corpus_entry_limit_marker():
     # an overflowing tensor square leaves one skipped record per check that
     # needs it; the tensor-free checks are still evaluated (sanity-lescot only
-    # applies to groups that are not nilpotent, hence S3 next to Q8)
+    # applies to groups that are not nilpotent, such as S3)
     tensor_free = {"thm-1.1", "sanity-erl", "sanity-lescot"}
-    corpus = {e.spec: e for e in builtin_corpus(8)}
-    evaluated = set()
-    for spec in ("Q8", "S3"):
-        checks = evaluate_entry(corpus[spec], ALL_CHECK_IDS, Config(max_cosets=4))
-        skipped = [c for c in checks if c.skipped]
-        assert sorted(c.id for c in skipped) == sorted(set(ALL_CHECK_IDS) - tensor_free)
-        for c in skipped:
-            assert c.note.startswith("exceeded-limit")
-            assert (c.subgroup, c.normal, c.n) == (None, None, None)
-        assert all(c.holds is not None for c in checks if not c.skipped)
-        evaluated |= {c.id for c in checks if not c.skipped}
-    assert evaluated == tensor_free
+    entry = next(e for e in builtin_corpus(8) if e.spec == "S3")
+    checks = evaluate_entry(entry, ALL_CHECK_IDS, Config(max_cosets=4))
+    skipped = [c for c in checks if c.skipped]
+    assert sorted(c.id for c in skipped) == sorted(set(ALL_CHECK_IDS) - tensor_free)
+    for c in skipped:
+        assert c.note.startswith("exceeded-limit")
+        assert (c.subgroup, c.normal, c.n) == (None, None, None)
+    assert all(c.holds is not None for c in checks if not c.skipped)
+    assert {c.id for c in checks if not c.skipped} == tensor_free
     # under the default limit the same entry enumerates
-    assert tensor_square(corpus["Q8"].group).order == 64
+    assert tensor_square(entry.group).order == 6
 
 
 def test_check_theorem_tensor_overflow_is_skipped():
@@ -193,12 +190,12 @@ def test_exceeded_limit_records_skips():
     report = run_suite(builtin_corpus(8), "all", Config(max_order=8, max_cosets=4))
     skipped = [c for c in report.checks if c.skipped]
     assert all("exceeded-limit" in (c.note or "") for c in skipped)
-    # the cap bounds only enumerations that run: abelian groups and products
-    # never enumerate, so only the nonabelian indecomposable groups skip
-    assert {c.group for c in skipped} == {"D8", "Q8", "S3"}
-    assert report.summary == {"pass": 1423, "fail": 53, "skipped": 42, "flagged": 0}
+    # the cap bounds only enumerations that run: abelian groups, products and
+    # 2-groups never enumerate, so only S3 skips
+    assert {c.group for c in skipped} == {"S3"}
+    assert report.summary == {"pass": 1776, "fail": 84, "skipped": 14, "flagged": 1}
     digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
-    assert digest == "c228a1d2fe7724bc797d14c9ab2e89ba6d039367f733d78113290ce07326ce73"
+    assert digest == "842f35e3bfc8bc5d0448b118e3d3f06578d08f628b97a6f88dec1d30c6c72b8d"
 
 
 def single_spec_report(tmp_path, spec, max_order):
@@ -237,16 +234,27 @@ def test_report_above_order_32_is_pinned(tmp_path, spec, checks, failures, pinne
 
 
 @pytest.mark.slow
-def test_d8xd8_report_is_pinned(tmp_path):
-    # a few seconds; the only skips are the quotient 2^{1+4}_+, whose square
-    # exceeds the default coset cap
-    report = single_spec_report(tmp_path, "D8xD8", 64)
-    skipped = [c for c in report.checks if c.skipped]
-    assert len(skipped) == 440
-    assert {c.id for c in skipped} == {"thm-quot"}
-    assert all("exceeded-limit" in c.note for c in skipped)
+@pytest.mark.parametrize(
+    ("spec", "summary", "failures", "pinned"),
+    [
+        ("D8xD8", (13430, 776), {"thm-2.3": 526, "thm-2.5": 2, "thm-3cases": 248},
+         "9a63931db1d1dc87153140f360059a69f9bafb10eb970ebe04cd4d25d5d82451"),
+        ("D8xQ8", (9111, 375), {"thm-2.3": 278, "thm-2.5": 2, "thm-3cases": 95},
+         "e53151c52bf360cb0b0dfc1e42f50586a4f0af26169a3607da2c7df3537cf334"),
+        ("Q8xQ8", (7427, 251), {"thm-2.3": 196, "thm-2.5": 1, "thm-3cases": 54},
+         "0f9fee2dce373fb72ddf046be79806da40cf376ad08f9e80fb3b39dacf978fab"),
+    ],
+    ids=["D8xD8", "D8xQ8", "Q8xQ8"],
+)
+def test_order_64_two_group_report_is_pinned(tmp_path, spec, summary, failures, pinned):
+    # a few seconds each, with no skips: the 2-group quotients, 2^{1+4}_+
+    # among them, square under the default coset cap
+    report = single_spec_report(tmp_path, spec, 64)
+    passed, failed = summary
+    assert report.summary == {"pass": passed, "fail": failed, "skipped": 0, "flagged": 0}
+    assert Counter(c.id for c in report.checks if c.holds is False) == failures
     digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
-    assert digest == "4534bdb5c9d47e3e735ad7be3d18cf5131617e8b1dcd5f2ea44d12460d5d44f2"
+    assert digest == pinned
 
 
 @pytest.mark.parametrize(
