@@ -15,7 +15,6 @@ from .degrees import (
     n_tensor_degree,
     rel_comm_degree,
     rel_n_tensor_degree,
-    rel_n_tensor_degree_naive,
     tensor_degree,
 )
 from .errors import ConsistencyError, GroupTensorError, LimitError, SpecError

@@ -4,21 +4,17 @@ Every value is an exact ``fractions.Fraction`` in lowest terms; floating
 point never enters a verdict.  Decimal strings exist for display only and
 are rounded half-to-even at three places.
 
-The production path for the n-fold degree runs a dynamic program over the
-distribution of left-normed commutators; ``rel_n_tensor_degree_naive``
-enumerates tuples directly and exists as its independent correctness oracle.
+The n-fold degree runs a dynamic program over the distribution of
+left-normed commutators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
-from .errors import LimitError, SpecError
-from .groups import FiniteGroup, SubgroupHandle, commutator, full_subgroup, iterated_commutator
+from .errors import SpecError
+from .groups import FiniteGroup, SubgroupHandle, commutator, full_subgroup
 from .tensor import TensorSquareData
-
-NAIVE_TUPLE_LIMIT = 10**7
 
 
 def format_fraction(value: Fraction) -> str:
@@ -81,26 +77,6 @@ def rel_n_tensor_degree(
     dist = commutator_distribution(group, h, n)
     hits = sum(mass * data.centralizer_size(v) for v, mass in dist.items())
     return Fraction(hits, h.order**n * group.order)
-
-
-def rel_n_tensor_degree_naive(
-    group: FiniteGroup, data: TensorSquareData, h: SubgroupHandle, n: int
-) -> Fraction:
-    """Direct tuple enumeration of the same probability; the oracle path."""
-    if n < 1:
-        raise SpecError(f"degree index n must be at least 1, got {n}")
-    work = h.order**n * group.order
-    if work > NAIVE_TUPLE_LIMIT:
-        raise LimitError(f"naive enumeration of {work} tuples refused")
-    trivial = data.trivial
-    hits = 0
-    for tup in product(h.elements, repeat=n):
-        v = iterated_commutator(group, tup)
-        row = trivial[v]
-        for g in group.elements():
-            if row[g]:
-                hits += 1
-    return Fraction(hits, work)
 
 
 def tensor_degree(group: FiniteGroup, data: TensorSquareData) -> Fraction:

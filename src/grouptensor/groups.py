@@ -341,30 +341,13 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
         raise SpecError(f"elementary abelian base must be prime, got {p}")
     if k < 1:
         raise SpecError(f"elementary abelian rank must be >= 1, got {k}")
-    n = p**k
-
-    def digits(x: int) -> list[int]:
-        out = []
-        for _ in range(k):
-            x, r = divmod(x, p)
-            out.append(r)
-        return out[::-1]
-
-    def undigits(ds: list[int]) -> int:
-        x = 0
-        for d in ds:
-            x = x * p + d
-        return x
-
-    mul = [
-        [
-            undigits([(da + db) % p for da, db in zip(digits(a), digits(b))])
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-    labels = {f"e{i + 1}": p ** (k - 1 - i) for i in range(k)}
-    return FiniteGroup(mul, name=f"E{p}^{k}", generator_labels=labels)
+    # index = a1 p^(k-1) + ... + ak, the digits of a vector, first factor first
+    group = factor = cyclic(p)
+    for _ in range(k - 1):
+        group = direct_product(group, factor, max_order=p**k)
+    group = group.with_labels({f"e{i + 1}": p ** (k - 1 - i) for i in range(k)})
+    group.name = f"E{p}^{k}"
+    return group
 
 
 def direct_product(g: FiniteGroup, k: FiniteGroup, max_order: int = HARD_MAX_ORDER) -> FiniteGroup:

@@ -8,12 +8,15 @@ optionally with n) and keep the members their hypotheses admit.  An instance
 holds the live ``SubgroupHandle``s of its subgroups; the record stores their
 element tuples.  One rule covers a tensor square that overflows its coset
 limit: every check that reads it has the one empty instance, whose record is
-skipped, in the suite and in ``check_theorem`` alike.  Checks are
-evaluations, not axioms: a violated statement is reported with a complete
-witness instead of aborting, while structural inconsistencies (a tensor
-centralizer failing to be a subgroup, say) raise hard errors.  Reports are
-deterministic: identical inputs serialize to identical bytes, regardless of
-worker count.
+skipped, in the suite and in ``check_theorem`` alike.  The quotients a
+check reads (G/N, and K = H/(H n Z-tensor)) get child contexts, one per name
+and multiplication table, shared by every caller: all a context computes
+depends on its table alone, and the name, which an overflow note reads, is
+the one each caller would have given it.  Checks are evaluations, not
+axioms: a violated statement is reported with a complete witness instead of
+aborting, while structural inconsistencies (a tensor centralizer failing to
+be a subgroup, say) raise hard errors.  Reports are deterministic: identical
+inputs serialize to identical bytes, regardless of worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .groups import (
     all_subgroups,
     center,
     commutator_subgroup,
-    conjugate,
     full_subgroup,
     nilpotency_class,
     normal_subgroups,
@@ -154,7 +156,10 @@ class TheoremCheck(NamedTuple):
 
 class EntryContext:
     """Shared artifacts for all checks on one corpus group, or on a quotient
-    they read (``quotient``, ``k_quotient``), which is named after its group."""
+    they read, named after its group.  ``child`` keeps one such quotient
+    context per name and table; the sharing is exact, as everything a
+    context computes (degrees, the tensor square, Z-tensor, the tensor class)
+    is a function of its table, and a ``LimitError`` note reads the name."""
 
     def __init__(self, spec: str, group: FiniteGroup, config: Config) -> None:
         self.spec = spec
@@ -215,13 +220,18 @@ class EntryContext:
         hits = sum(1 for a in h.elements for b in h.elements if mul[a][b] == mul[b][a])
         return Fraction(hits, h.order * h.order)
 
+    def child(self, group: FiniteGroup) -> "EntryContext":
+        """The context of a group built from this one, one per name and table."""
+        return self._memo("child", (group.name, group.table_key()),
+                          lambda: EntryContext(group.name, group, self.config))
+
     def quotient(self, n: SubgroupHandle) -> tuple["EntryContext", tuple[int, ...]]:
         """The context of G/N and the projection onto it; G/N's tensor square
         is enumerated only when read."""
 
         def make():
             q, proj = quotient(self.group, n)
-            return EntryContext(q.name, q, self.config), proj
+            return self.child(q), proj
 
         return self._memo("quotient", n.elements, make)
 
@@ -233,26 +243,17 @@ class EntryContext:
         ))
 
     def k_quotient(self, h: SubgroupHandle) -> "EntryContext":
-        """The context of K = H / (H n Z-tensor), taken as a standalone group.
-
-        Z-tensor is normal, so conjugate subgroups give isomorphic quotients,
-        and callers read only isomorphism invariants of them: one quotient is
-        built per conjugacy class of subgroups, keyed by its least member.
-        """
-        group = self.group
-        key = self._memo("k_key", h.elements, lambda: min(
-            tuple(sorted(conjugate(group, x, e) for e in h.elements))
-            for x in group.elements()
-        ))
+        """The context of K = H / (H n Z-tensor), taken as a standalone group
+        and shared, like every child, by name and table."""
 
         def make():
             inter = sorted(set(h.elements) & self.ztensor._set)
             hgrp, embed = subgroup_as_group(h)
             pos = {e: i for i, e in enumerate(embed)}
             k, _ = quotient(hgrp, SubgroupHandle(hgrp, [pos[e] for e in inter]))
-            return EntryContext(k.name, k, self.config)
+            return self.child(k)
 
-        return self._memo("k_quotient", key, make)
+        return self._memo("k_quotient", h.elements, make)
 
 
 # ---------------------------------------------------------------------------

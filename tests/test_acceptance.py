@@ -26,7 +26,6 @@ from grouptensor import (
     j2_order,
     n_tensor_degree,
     rel_n_tensor_degree,
-    rel_n_tensor_degree_naive,
     run_suite,
     subgroup_from_words,
     tensor_center,
@@ -39,8 +38,8 @@ from grouptensor import (
 )
 from grouptensor.cli import main
 from grouptensor.coset_enum import COMPLETED, EXCEEDED
+from naive import NAIVE_TUPLE_LIMIT, rel_n_tensor_degree_naive
 from presentations import standard_presentation
-from grouptensor.degrees import NAIVE_TUPLE_LIMIT
 from grouptensor.verify import THEOREM_IDS, TheoremCheck
 
 # The statements with machine-certified counterexamples on this corpus; see

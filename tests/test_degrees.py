@@ -14,13 +14,13 @@ from grouptensor import (
     n_tensor_degree,
     rel_comm_degree,
     rel_n_tensor_degree,
-    rel_n_tensor_degree_naive,
     subgroup_from_words,
     tensor_degree,
     tensor_square,
 )
 from grouptensor.errors import LimitError
 from grouptensor.groups import full_subgroup, subgroup_generated
+from naive import rel_n_tensor_degree_naive
 
 
 def test_format_helpers():

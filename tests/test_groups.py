@@ -17,6 +17,7 @@ from grouptensor import (
     dihedral,
     direct_factors,
     direct_product,
+    elementary_abelian,
     group_from_spec,
     iterated_commutator,
     nilpotency_class,
@@ -49,6 +50,22 @@ def test_build_named_families():
     assert group_from_spec("A5").order == 60
     assert group_from_spec("Q16").order == 16
     assert group_from_spec("E3^2").order == 9
+
+
+def test_elementary_abelian_encodes_vectors_as_base_p_digits():
+    # index a1 p^(k-1) + ... + ak for the vector (a1, ..., ak), e_i its i-th unit
+    for k in range(1, 7):
+        g = elementary_abelian(2, k)
+        assert g.name == f"E2^{k}"
+        assert all(g.mul[a][b] == a ^ b for a in g.elements() for b in g.elements())
+        assert g.generator_labels == {f"e{i + 1}": 2 ** (k - 1 - i) for i in range(k)}
+    for p in (3, 5):
+        g = elementary_abelian(p, 2)
+        assert g.generator_labels == {"e1": p, "e2": 1}
+        for a in g.elements():
+            for b in g.elements():
+                high, low = (a // p + b // p) % p, (a % p + b % p) % p
+                assert g.mul[a][b] == high * p + low
 
 
 def test_build_named_rejects_bad_input():

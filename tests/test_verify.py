@@ -21,11 +21,12 @@ from grouptensor import (
     tensor_square,
 )
 from grouptensor.degrees import format_decimal
-from grouptensor.groups import all_subgroups
+from grouptensor.groups import FiniteGroup, all_subgroups, normal_subgroups
 from grouptensor.verify import (
     ALL_CHECK_IDS,
     DISCREPANCY_NOTE,
     THEOREM_IDS,
+    CorpusEntry,
     EntryContext,
     corpus_from_file,
     evaluate_entry,
@@ -90,15 +91,45 @@ def test_check_theorem_tensor_overflow_is_skipped():
         assert check.n == instance.get("n"), check_id
 
 
-def test_conjugate_subgroups_share_one_k_quotient():
-    # S4's three Sylow 2-subgroups are conjugate: one quotient, one tensor square
-    s4 = group_from_spec("S4")
-    ctx = EntryContext("S4", s4, Config(max_order=24))
-    sylows = [h for h in all_subgroups(s4) if h.order == 8]
-    assert len(sylows) == 3
-    first = ctx.k_quotient(sylows[0])
-    assert all(ctx.k_quotient(h) is first for h in sylows[1:])
-    assert first.group.order == 8 and first.tensor.order == 32
+def test_quotients_with_one_table_share_one_context():
+    # Z-tensor of E2^3 is trivial, so each K is the subgroup itself
+    g = group_from_spec("E2^3")
+    ctx = EntryContext("E2^3", g, Config())
+    assert ctx.ztensor.order == 1
+    fours = [n for n in normal_subgroups(g) if n.order == 4]
+    twos = [h for h in all_subgroups(g) if h.order == 2]
+    assert len(fours) == len(twos) == 7
+    quotients = {id(ctx.quotient(n)[0]) for n in fours}
+    ks = {id(ctx.k_quotient(h)) for h in twos}
+    assert len(quotients) == len(ks) == 1
+    first = ctx.quotient(fours[0])[0]
+    assert first.group.name == "E2^3/N4" and first.tensor.order == 2
+    assert ctx.k_quotient(twos[0]).group.name == "E2^3<2>/N1"
+
+
+def test_children_with_one_table_and_two_names_are_two_contexts():
+    ctx = EntryContext("C4", group_from_spec("C4"), Config())
+    c2 = group_from_spec("C2")
+    same = ctx.child(c2)
+    assert ctx.child(group_from_spec("C2")) is same
+    renamed = ctx.child(FiniteGroup(c2.mul, name="C4/N2"))
+    assert renamed is not same and renamed.group.name == "C4/N2"
+
+
+def test_verify_on_e2_5_builds_one_context_per_name_and_table(monkeypatch):
+    built = []
+    init = EntryContext.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EntryContext, "__init__", counting)
+    g = group_from_spec("E2^5")
+    run_suite([CorpusEntry("E2^5", g)], "all", Config(max_order=32))
+    # the root, G/N for |N| = 1..32 and K = H for |H| = 1..32
+    assert len(built) == 13
+    assert len(set(built)) == 13
 
 
 def test_normalize_check_ids():
@@ -223,8 +254,14 @@ def test_product_group_report_is_pinned(tmp_path):
          "c220e4c4fbb06bfa7bfc78f57dc4e10e752de5e1a65697d55dbd56341f39e965"),
         ("D40", 1134, {"thm-2.3": 53, "thm-2.5": 4, "thm-3cases": 40},
          "a738fbccd48465a1b7b4ff3009019e375cf74863eed998710b9047ef3fbc86c4"),
+        ("A5", 1081, {"thm-2.3": 36, "thm-3cases": 36},
+         "70980a89cc75dc0c0fd2e9b937accbe66ac31eab0a3c6a0a8efd99420a7a550e"),
+        ("D48", 1719, {"thm-2.3": 83, "thm-2.5": 4, "thm-3cases": 53},
+         "7e1fbbd8d80a3dc96610d719c60728a4a2091d5505b059f5d4286f0dfee87df9"),
+        ("E2^5", 33714, {"thm-2.3": 373, "thm-2.5": 1},
+         "f5b6c8799afd3322a6d07b057810ba5d939e4bfcd74cc7c894bf8bf510d3ceca"),
     ],
-    ids=["S3xS3", "D40"],
+    ids=["S3xS3", "D40", "A5", "D48", "E2^5"],
 )
 def test_report_above_order_32_is_pinned(tmp_path, spec, checks, failures, pinned):
     report = single_spec_report(tmp_path, spec, 64)
@@ -243,12 +280,17 @@ def test_report_above_order_32_is_pinned(tmp_path, spec, checks, failures, pinne
          "e53151c52bf360cb0b0dfc1e42f50586a4f0af26169a3607da2c7df3537cf334"),
         ("Q8xQ8", (7427, 251), {"thm-2.3": 196, "thm-2.5": 1, "thm-3cases": 54},
          "0f9fee2dce373fb72ddf046be79806da40cf376ad08f9e80fb3b39dacf978fab"),
+        ("Q8xC2xC4", (11435, 297), {"thm-2.3": 213, "thm-2.5": 2, "thm-3cases": 82},
+         "e512713087e189c2b27e91deea8ce530b9ffd2ad382b8da5f2a306f1cd437c9e"),
+        ("E2^6", (512437, 2825), {"thm-2.3": 2824, "thm-2.5": 1},
+         "7509464d071328c746640d9c9e69091e6499d8c57e7dc887272e6126be89f5c3"),
     ],
-    ids=["D8xD8", "D8xQ8", "Q8xQ8"],
+    ids=["D8xD8", "D8xQ8", "Q8xQ8", "Q8xC2xC4", "E2^6"],
 )
 def test_order_64_two_group_report_is_pinned(tmp_path, spec, summary, failures, pinned):
     # a few seconds each, with no skips: the 2-group quotients, 2^{1+4}_+
-    # among them, square under the default coset cap
+    # among them, square under the default coset cap; E2^6, the largest
+    # legal report (about 280 MB of JSON), takes 15-30 s and about 1 GB
     report = single_spec_report(tmp_path, spec, 64)
     passed, failed = summary
     assert report.summary == {"pass": passed, "fail": failed, "skipped": 0, "flagged": 0}
