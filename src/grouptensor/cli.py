@@ -22,7 +22,6 @@ from .degrees import (
 )
 from .errors import GroupTensorError
 from .groups import (
-    HARD_MAX_ORDER,
     all_subgroups,
     center,
     derived_subgroup,
@@ -44,7 +43,7 @@ def _degree_line(value) -> str:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    group = group_from_spec(args.spec, max_order=args.max_order)
+    group = group_from_spec(args.spec)
     print(f"group: {group.name}")
     print(f"order: {group.order}")
     print(f"abelian: {'yes' if group.is_abelian() else 'no'}")
@@ -57,7 +56,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_tensor(args: argparse.Namespace) -> int:
-    group = group_from_spec(args.spec, max_order=args.max_order)
+    group = group_from_spec(args.spec)
     start = time.perf_counter()
     data = tensor_square(group, max_cosets=args.max_cosets)
     elapsed = time.perf_counter() - start
@@ -81,22 +80,21 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
 
 
 def _cmd_degree(args: argparse.Namespace) -> int:
-    group = group_from_spec(args.spec, max_order=args.max_order)
+    group = group_from_spec(args.spec)
     data = tensor_square(group, max_cosets=args.max_cosets)
     subgroup = (
         subgroup_from_words(group, args.subgroup)
         if args.subgroup is not None
         else full_subgroup(group)
     )
-    n = args.n if args.n is not None else 1
     # every value before any output: an error leaves stdout empty
     d, d_tensor = comm_degree(group), tensor_degree(group, data)
-    value = rel_n_tensor_degree(group, data, subgroup, n)
+    value = rel_n_tensor_degree(group, data, subgroup, args.n)
     label = "G" if args.subgroup is None else f"<{args.subgroup}>"
     print(f"group: {group.name}")
     print(f"d(G) = {_degree_line(d)}")
     print(f"d_tensor(G) = {_degree_line(d_tensor)}")
-    print(f"d_tensor[n={n}]({label}, G) = {_degree_line(value)}")
+    print(f"d_tensor[n={args.n}]({label}, G) = {_degree_line(value)}")
     return 0
 
 
@@ -138,28 +136,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, squares: bool = True) -> None:
-        p.add_argument("spec", help="group spec, e.g. D8, C2xC4, E2^3")
-        p.add_argument(
-            "--max-order",
-            type=int,
-            default=HARD_MAX_ORDER,
-            help=f"largest accepted group order (default {HARD_MAX_ORDER})",
-        )
-        if squares:
-            p.add_argument(
-                "--max-cosets",
-                type=int,
-                default=DEFAULT_MAX_COSETS,
-                help="coset limit for tensor-square enumeration",
-            )
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("spec", help="group spec, e.g. D8, C2xC4, E2^3")
+    cosets = argparse.ArgumentParser(add_help=False)
+    cosets.add_argument(
+        "--max-cosets",
+        type=int,
+        default=DEFAULT_MAX_COSETS,
+        help="coset limit for tensor-square enumeration",
+    )
 
-    p_info = sub.add_parser("info", help="order, center, derived subgroup, class")
-    add_common(p_info, squares=False)
+    p_info = sub.add_parser("info", parents=[spec], help="order, center, derived subgroup, class")
     p_info.set_defaults(func=_cmd_info)
 
-    p_tensor = sub.add_parser("tensor", help="tensor square and derived structure")
-    add_common(p_tensor)
+    p_tensor = sub.add_parser(
+        "tensor", parents=[spec, cosets], help="tensor square and derived structure"
+    )
     p_tensor.add_argument(
         "--stats",
         action="store_true",
@@ -167,16 +159,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tensor.set_defaults(func=_cmd_tensor)
 
-    p_degree = sub.add_parser("degree", help="exact degree quantities")
-    add_common(p_degree)
+    p_degree = sub.add_parser("degree", parents=[spec, cosets], help="exact degree quantities")
     p_degree.add_argument(
         "--subgroup",
         help='subgroup generators as comma-separated words, e.g. "a^2,a*b"',
     )
-    p_degree.add_argument("--n", type=int, help="degree index (default 1)")
+    p_degree.add_argument("--n", type=int, default=1, help="degree index (default 1)")
     p_degree.set_defaults(func=_cmd_degree)
 
-    p_verify = sub.add_parser("verify", help="run the check suite over a corpus")
+    p_verify = sub.add_parser("verify", parents=[cosets], help="run the check suite over a corpus")
     p_verify.add_argument(
         "--corpus",
         default="builtin",
@@ -188,12 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated check ids, or 'all'",
     )
     p_verify.add_argument("--max-order", type=int, default=16)
-    p_verify.add_argument(
-        "--max-cosets",
-        type=int,
-        default=DEFAULT_MAX_COSETS,
-        help="coset limit for tensor-square enumeration",
-    )
     p_verify.add_argument(
         "--n-max", type=int, default=4, help="largest degree index to exercise"
     )

@@ -22,16 +22,15 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def format_decimal(value: Fraction, places: int = 3) -> str:
-    """Fixed-point decimal string, rounded half to even."""
+def format_decimal(value: Fraction) -> str:
+    """Three-place decimal string, rounded half to even."""
     sign = "-" if value < 0 else ""
     num, den = abs(value.numerator), value.denominator
-    scale = 10**places
-    q, r = divmod(num * scale, den)
+    q, r = divmod(num * 1000, den)
     if 2 * r > den or (2 * r == den and q % 2 == 1):
         q += 1
-    whole, frac = divmod(q, scale)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    whole, frac = divmod(q, 1000)
+    return f"{sign}{whole}.{frac:03d}"
 
 
 def rel_comm_degree(group: FiniteGroup, h: SubgroupHandle) -> Fraction:
@@ -81,8 +80,7 @@ def rel_n_tensor_degree(
 
 def tensor_degree(group: FiniteGroup, data: TensorSquareData) -> Fraction:
     """Probability that a uniform pair has trivial tensor pairing."""
-    hits = sum(data.centralizer_size(x) for x in group.elements())
-    return Fraction(hits, group.order**2)
+    return n_tensor_degree(group, data, 1)
 
 
 def n_tensor_degree(group: FiniteGroup, data: TensorSquareData, n: int) -> Fraction:

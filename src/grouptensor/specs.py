@@ -39,7 +39,6 @@ _TERM_RE = re.compile(r"([CDQSAE])(\d+)(?:\^(\d+))?")
 class GroupSpec:
     """A parsed spec: one or more named-family terms joined by direct product."""
 
-    source: str
     terms: tuple[tuple[str, int, int | None], ...]
 
     def render(self) -> str:
@@ -83,29 +82,31 @@ def parse_group_spec(text: str) -> GroupSpec:
                 f"bad group spec {text!r}: expected 'x' at position {pos}"
             )
         pos += 1
-    return GroupSpec(source=text, terms=tuple(terms))
+    return GroupSpec(terms=tuple(terms))
 
 
 def _build_term(family: str, num: int, power: int | None, max_order: int) -> FiniteGroup:
-    if family == "C":
-        group = cyclic(num)
-    elif family == "D":
-        group = dihedral(num)
-    elif family == "Q":
-        group = quaternion(num)
-    elif family == "S":
-        group = symmetric(num)
-    elif family == "A":
-        group = alternating(num)
-    elif family == "E":
+    """One term, refused before it is built if its order is above ``max_order``.
+
+    C, D and Q have order ``num``.  For p >= 2, p^k exceeds ``max_order``
+    once k passes its bit length, so E is refused without forming a huge
+    power.  S and A are built first, as their constructors refuse a degree
+    above 5 before they allocate.
+    """
+    if family == "E":
         assert power is not None
-        group = elementary_abelian(num, power)
-    else:  # pragma: no cover - the regex only admits the six families
-        raise SpecError(f"unknown family {family!r}")
-    if group.order > max_order:
-        raise SpecError(
-            f"term {family}{num} has order {group.order}, above the max {max_order}"
-        )
+        order, size = num ** min(power, max_order.bit_length() + 1), f"{num}^{power}"
+    elif family in "CDQ":
+        order = size = num
+    else:
+        group = symmetric(num) if family == "S" else alternating(num)
+        order = size = group.order
+    if order > max_order:
+        raise SpecError(f"term {family}{num} has order {size}, above the max {max_order}")
+    if family == "E":
+        return elementary_abelian(num, power)
+    if family in "CDQ":
+        return {"C": cyclic, "D": dihedral, "Q": quaternion}[family](num)
     return group
 
 

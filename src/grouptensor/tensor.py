@@ -73,10 +73,10 @@ class TensorSquareData:
     ``trivial[x][y]`` is True exactly when ``x (x) y`` is the identity of the
     tensor-square group.  ``counters`` is ``(defined, peak_live,
     coincidences)`` of the enumeration it was read from (see ``CosetTable``),
-    or None if the group was not enumerated.
+    or None if the group was not enumerated.  The square names no group: the
+    cache shares it between every group with the same table.
     """
 
-    parent: FiniteGroup
     order: int
     trivial: tuple[tuple[bool, ...], ...]
     counters: Optional[tuple[int, int, int]] = None
@@ -115,7 +115,7 @@ def _square(group: FiniteGroup, max_cosets: int) -> TensorSquareData:
 
     if group.is_abelian():
         square = bilinear_tensor(group, group)
-        data = TensorSquareData(parent=group, order=square.order, trivial=square.trivial)
+        data = TensorSquareData(square.order, square.trivial)
     elif (factors := direct_factors(group)) is not None:
         data = _product(group, *factors, max_cosets)
     elif group.order & (group.order - 1) == 0:
@@ -128,7 +128,7 @@ def _square(group: FiniteGroup, max_cosets: int) -> TensorSquareData:
                 f"tensor-square enumeration for {group.name} exceeded {max_cosets} cosets"
             )
         data = _from_table(group, table)
-    _validate(data)
+    _validate(group, data)
     with _cache_lock:
         _tensor_cache.setdefault(key, data)
     return data
@@ -158,7 +158,7 @@ def _product(
         for _, a, b in pairs
     )
     order = left.order * right.order * cross.order**2
-    return TensorSquareData(parent=group, order=order, trivial=trivial)
+    return TensorSquareData(order, trivial)
 
 
 def _from_table(group: FiniteGroup, table: CosetTable) -> TensorSquareData:
@@ -177,7 +177,7 @@ def _from_table(group: FiniteGroup, table: CosetTable) -> TensorSquareData:
     columns = [[c == image for image in _walk(tree, c, act, 0)] for c in _walk(tree, 0, act, m)]
     trivial = tuple(tuple(row) for row in zip(*columns))
     counters = (table.defined, table.peak_live, table.coincidences)
-    return TensorSquareData(group, table.coset_count // n, trivial, counters)
+    return TensorSquareData(table.coset_count // n, trivial, counters)
 
 
 def _from_two_quotient(group: FiniteGroup) -> TensorSquareData:
@@ -195,7 +195,7 @@ def _from_two_quotient(group: FiniteGroup) -> TensorSquareData:
 
     copies = _walk(tree, 0, act, m)
     trivial = tuple(tuple(mul(x, y) == mul(y, x) for y in copies) for x in _walk(tree, 0, act, 0))
-    return TensorSquareData(group, nu.order // group.order**2, trivial)
+    return TensorSquareData(nu.order // group.order**2, trivial)
 
 
 def _walk(
@@ -209,8 +209,7 @@ def _walk(
     return image
 
 
-def _validate(data: TensorSquareData) -> None:
-    group = data.parent
+def _validate(group: FiniteGroup, data: TensorSquareData) -> None:
     n = group.order
     trivial = data.trivial
     for x in range(n):

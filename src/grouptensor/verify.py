@@ -7,16 +7,18 @@ degree index n, per subgroup H and n, per pair N <= H with N normal in G,
 optionally with n) and keep the members their hypotheses admit.  An instance
 holds the live ``SubgroupHandle``s of its subgroups; the record stores their
 element tuples.  One rule covers a tensor square that overflows its coset
-limit: every check that reads it has the one empty instance, whose record is
-skipped, in the suite and in ``check_theorem`` alike.  The quotients a
-check reads (G/N, and K = H/(H n Z-tensor)) get child contexts, one per name
-and multiplication table, shared by every caller: all a context computes
-depends on its table alone, and the name, which an overflow note reads, is
-the one each caller would have given it.  Checks are evaluations, not
-axioms: a violated statement is reported with a complete witness instead of
-aborting, while structural inconsistencies (a tensor centralizer failing to
-be a subgroup, say) raise hard errors.  Reports are deterministic: identical
-inputs serialize to identical bytes, regardless of worker count.
+limit: every check that reads it generates no instances and yields one
+skipped record, made by ``_overflow``, in the suite and in ``check_theorem``
+alike.  The quotients a check reads (G/N, and K = H/(H n Z-tensor)) get
+child contexts, one per name and multiplication table, shared by every
+caller: all a context computes depends on its table alone, and the name,
+which an overflow note reads, is the one each caller would have given it.
+Checks are evaluations, not axioms: a violated statement is reported with a
+complete witness instead of aborting, while structural inconsistencies (a
+tensor centralizer, which ``tensor.tensor_centralizer`` builds for lem-2.1,
+failing to be a subgroup, say) raise hard errors.  Reports are
+deterministic: identical inputs serialize to identical bytes, regardless of
+worker count.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .tensor import (
     TensorSquareData,
     j2_order,
     tensor_center,
+    tensor_centralizer,
     tensor_class,
     tensor_square,
     tensor_upper_central,
@@ -187,16 +190,14 @@ class EntryContext:
             raise self._tensor
         return self._tensor
 
-    def tensor_overflows(self) -> bool:
-        try:
-            self.tensor
-        except LimitError:
-            return True
-        return False
-
     @cached_property
     def ztensor(self) -> SubgroupHandle:
         return tensor_center(self.group, self.tensor)
+
+    @cached_property
+    def centralizers(self) -> list[SubgroupHandle]:
+        """The tensor centralizer of every element, in element order."""
+        return [tensor_centralizer(self.group, self.tensor, x) for x in self.group.elements()]
 
     @cached_property
     def tclass(self) -> Optional[int]:
@@ -375,12 +376,10 @@ def _gen_lem_2_1(ctx: EntryContext) -> list[dict]:
 
 def _eval_lem_2_1(ctx: EntryContext, inst: dict) -> dict:
     group, h = ctx.group, inst["subgroup"]
-    trivial = ctx.tensor.trivial
-    ratios = []
-    for x in group.elements():
-        col = [a for a in group.elements() if trivial[a][x]]
-        # [H : C n H] / [G : C]
-        ratios.append(Fraction(h.order * len(col), len(h._set.intersection(col)) * group.order))
+    # [H : C n H] / [G : C] for the tensor centralizer C of each element
+    ratios = [
+        Fraction(h.order * c.order, len(h._set & c._set) * group.order) for c in ctx.centralizers
+    ]
     one = Fraction(1)
     if inst["variant"] == "index-bound":
         worst = max(range(len(ratios)), key=lambda x: (ratios[x], -x))
@@ -607,15 +606,20 @@ ALL_CHECK_IDS = tuple(CHECKS)
 THEOREM_IDS = tuple(check_id for check_id in CHECKS if not check_id.startswith("ex-"))
 
 
-def _instances(ctx: EntryContext, check_id: str) -> list[dict]:
-    """The instances of one check on one group.
+def _overflow(ctx: EntryContext, check_id: str) -> Optional[TheoremCheck]:
+    """The one skipped record of a check that reads an overflowing tensor
+    square, or None: such a check generates no instances."""
+    if CHECKS[check_id].needs_tensor:
+        try:
+            ctx.tensor
+        except LimitError as exc:
+            return TheoremCheck(check_id, ctx.spec, skipped=True, note=f"exceeded-limit: {exc}")
+    return None
 
-    A check that needs an overflowing tensor square has the one empty
-    instance, whose record is the check's one skipped record.
-    """
+
+def _instances(ctx: EntryContext, check_id: str) -> list[dict]:
+    """The instances of one check on one group: those ``keep`` admits."""
     check = CHECKS[check_id]
-    if check.needs_tensor and ctx.tensor_overflows():
-        return [{}]
     return [inst for inst in check.generate(ctx) if check.keep(ctx, inst)]
 
 
@@ -630,12 +634,9 @@ def _where(inst: dict) -> tuple:
 
 def _evaluate(ctx: EntryContext, check_id: str, inst: dict) -> TheoremCheck:
     """The record of one instance: evaluated, or skipped when a limit is hit."""
-    check = CHECKS[check_id]
     where = _where(inst)
     try:
-        if check.needs_tensor:
-            ctx.tensor  # re-raises an overflow before the evaluator reads inst
-        found = check.evaluate(ctx, inst)
+        found = CHECKS[check_id].evaluate(ctx, inst)
     except LimitError as exc:
         note = f"exceeded-limit: {exc}"
         return TheoremCheck(check_id, ctx.spec, *where, skipped=True, note=note)
@@ -675,14 +676,13 @@ def check_theorem(
         None if normal is None else tuple(normal),
         n,
     )
+    overflow = _overflow(ctx, check_id)
+    if overflow is not None:
+        return overflow._replace(subgroup=where[0], normal=where[1], n=where[2])
     variant = instance.get("variant")
     for inst in _instances(ctx, check_id):
-        matched = _where(inst) == where and inst.get("variant") in (None, variant)
-        if matched or not inst:
-            record = _evaluate(ctx, check_id, inst)
-            # an overflow's one skipped record stands for every instance
-            if matched or record.skipped:
-                return record._replace(subgroup=where[0], normal=where[1], n=where[2])
+        if _where(inst) == where and inst.get("variant") in (None, variant):
+            return _evaluate(ctx, check_id, inst)
     return TheoremCheck(check_id, spec, *where, skipped=True, note="hypothesis-not-met")
 
 
@@ -691,11 +691,14 @@ def evaluate_entry(
 ) -> list[TheoremCheck]:
     """All checks for one corpus entry; the unit of parallel work."""
     ctx = EntryContext(entry.spec, entry.group, config)
-    return [
-        _evaluate(ctx, check_id, inst)
-        for check_id in check_ids
-        for inst in _instances(ctx, check_id)
-    ]
+    records = []
+    for check_id in check_ids:
+        overflow = _overflow(ctx, check_id)
+        if overflow is not None:
+            records.append(overflow)
+        else:
+            records += [_evaluate(ctx, check_id, inst) for inst in _instances(ctx, check_id)]
+    return records
 
 
 @dataclass
@@ -710,19 +713,12 @@ class VerificationReport:
         from .report import json_text
         return json_text(self)
 
-    def to_csv(self) -> str:
-        from .report import csv_text
-        return csv_text(self)
-
-    def to_table(self) -> str:
-        from .report import table_text
-        return table_text(self)
-
     def render(self, fmt: str) -> str:
-        renderers = {"json": self.to_json, "csv": self.to_csv, "table": self.to_table}
+        from .report import csv_text, table_text
+        renderers = {"json": VerificationReport.to_json, "csv": csv_text, "table": table_text}
         if fmt not in renderers:
             raise SpecError(f"unknown output format {fmt!r}")
-        return renderers[fmt]()
+        return renderers[fmt](self)
 
 
 def summarize(checks: Sequence[TheoremCheck]) -> dict:

@@ -30,14 +30,29 @@ def test_info(capsys):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # only --jobs > 1 needs the pool machinery
+    # only --jobs > 1 needs the pool machinery; the 2-quotient, the report
+    # formats and the command line load on first use, as each import compiles
+    # its module when no bytecode is cached
+    lazy = ["concurrent.futures.process", "grouptensor.pquotient", "grouptensor.report",
+            "grouptensor.cli"]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, grouptensor; print('concurrent.futures.process' in sys.modules)"],
+         f"import sys, grouptensor; print([m for m in {lazy!r} if m in sys.modules])"],
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", (proc.stdout, proc.stderr)
+
+
+@pytest.mark.parametrize("command", ["info", "tensor", "degree"])
+def test_only_verify_takes_max_order(capsys, command):
+    # argparse refuses the option before any output; these commands take
+    # groups up to order 64
+    try:
+        code = main([command, "C2xD64", "--max-order", "128"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2 and capsys.readouterr().out == ""
 
 
 def test_tensor(capsys):

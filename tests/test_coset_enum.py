@@ -157,7 +157,7 @@ def nu_square(group):
     """(order, trivial) from the enumeration of nu(G) over G, whatever path
     ``tensor_square`` would take."""
     data = tensor_module._from_table(group, todd_coxeter(tensor_square_presentation(group)))
-    tensor_module._validate(data)
+    tensor_module._validate(group, data)
     return data.order, data.trivial
 
 

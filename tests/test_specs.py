@@ -9,6 +9,7 @@ from grouptensor import (
     parse_words,
     subgroup_from_words,
 )
+from grouptensor import specs
 from grouptensor.specs import parse_word
 
 
@@ -54,6 +55,28 @@ def test_build_errors():
         group_from_spec("S4", max_order=16)
     with pytest.raises(SpecError):
         group_from_spec("C100")
+
+
+def test_terms_above_the_max_order_are_refused_before_they_are_built(monkeypatch):
+    # a huge term (C99999999, E2^99) would exhaust memory if built first
+    calls = []
+
+    def counted(name):
+        build = getattr(specs, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return build(*args)
+
+        return wrapper
+
+    for name in ("cyclic", "dihedral", "elementary_abelian"):
+        monkeypatch.setattr(specs, name, counted(name))
+    for text in ("C65", "D66", "E2^7"):
+        with pytest.raises(SpecError, match=r"above the max 64"):
+            group_from_spec(text)
+    assert calls == []
+    assert group_from_spec("C64").order == group_from_spec("E2^6").order == 64
 
 
 def test_max_order_is_a_default_bound():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from itertools import product
@@ -272,6 +273,12 @@ def test_only_enumerated_squares_keep_counters(groups):
     assert tensor_square(groups("S4")).counters == (5321, 2541, 4170)
     for spec in ("D8", "C2xS3", "C4"):
         assert tensor_square(groups(spec)).counters is None, spec
+
+
+def test_a_square_is_its_order_and_matrix():
+    # the cache shares a square between equal tables, so it names no group
+    names = [f.name for f in dataclasses.fields(tensor_module.TensorSquareData)]
+    assert names == ["order", "trivial", "counters"]
 
 
 def test_the_two_quotient_path_ignores_the_coset_cap(groups):

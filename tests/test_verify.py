@@ -84,11 +84,19 @@ def test_check_theorem_tensor_overflow_is_skipped():
         ("thm-1.3", {"group": "S3"}),
         ("thm-2.6", {"group": "S3", "n": 1}),
         ("thm-2.2", {"group": "S3", "subgroup": [0, 1], "n": 1}),
+        # uncapped, keep drops this instance (S3 has no tensor class);
+        # capped, the overflow record still stands for the check
+        ("lem-2.7", {"group": "S3", "n": 1}),
     ]:
         check = check_theorem(check_id, instance, config)
         assert check.skipped and check.holds is None, check_id
         assert check.note.startswith("exceeded-limit"), check_id
         assert check.n == instance.get("n"), check_id
+    # thm-1.1 reads no tensor square: the cap leaves it evaluated
+    pair = {"group": "S3", "subgroup": list(range(6)), "normal": [0]}
+    check = check_theorem("thm-1.1", pair, config)
+    assert not check.skipped and check.holds is not None
+    assert (check.subgroup, check.normal) == (tuple(range(6)), (0,))
 
 
 def test_quotients_with_one_table_share_one_context():
@@ -196,7 +204,7 @@ def test_suite_determinism_and_summary():
     r1 = run_suite(corpus, "all", config)
     r2 = run_suite(corpus, "all", config)
     assert r1.to_json() == r2.to_json()
-    assert r1.to_csv() == r2.to_csv()
+    assert r1.render("csv") == r2.render("csv")
     total = sum(r1.summary.values())
     assert total == len(r1.checks)
     assert summarize(r1.checks) == r1.summary
@@ -404,7 +412,7 @@ def test_hand_built_report_matches_the_stdlib_renderer(checks):
         version=__version__, config=Config().echo(), checks=checks, summary=summarize(checks)
     )
     assert report.to_json() == oracle_json(report)
-    assert report.to_csv() == oracle_csv(report)
+    assert report.render("csv") == oracle_csv(report)
 
 
 @pytest.mark.parametrize(
@@ -415,7 +423,7 @@ def test_hand_built_report_matches_the_stdlib_renderer(checks):
 def test_suite_report_matches_the_stdlib_renderer(max_order, config):
     report = run_suite(builtin_corpus(max_order), "all", config)
     assert report.to_json() == oracle_json(report)
-    assert report.to_csv() == oracle_csv(report)
+    assert report.render("csv") == oracle_csv(report)
 
 
 def test_hypothesis_filtering_in_suite():
@@ -442,11 +450,11 @@ def test_report_shapes():
         assert rec["lhs"] is None or "/" in rec["lhs"]
         assert "lhs_decimal" in rec and "rhs_decimal" in rec
         assert rec["relation"] in ("le", "eq")
-    csv_text = report.to_csv()
+    csv_text = report.render("csv")
     lines = csv_text.strip().splitlines()
     assert len(lines) == len(report.checks) + 1
     assert lines[0].startswith("id,group,subgroup")
-    table = report.to_table()
+    table = report.render("table")
     assert "pass" in table and "verdict" in table
 
 
