@@ -46,6 +46,7 @@ from .groups import (
 )
 from .specs import group_from_spec, parse_group_spec, parse_words, subgroup_from_words
 from .tensor import (
+    Squares,
     TensorSquareData,
     j2_order,
     tensor_center,

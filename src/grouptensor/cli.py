@@ -29,7 +29,7 @@ from .groups import (
     nilpotency_class,
 )
 from .specs import group_from_spec, subgroup_from_words
-from .tensor import j2_order, tensor_center, tensor_class, tensor_square
+from .tensor import Squares, j2_order, tensor_center, tensor_class, tensor_square
 from .verify import (
     Config,
     builtin_corpus,
@@ -58,7 +58,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_tensor(args: argparse.Namespace) -> int:
     group = group_from_spec(args.spec)
     start = time.perf_counter()
-    data = tensor_square(group, max_cosets=args.max_cosets)
+    data = tensor_square(group, Squares(args.max_cosets))
     elapsed = time.perf_counter() - start
     if args.stats:
         if data.counters:
@@ -81,7 +81,7 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
 
 def _cmd_degree(args: argparse.Namespace) -> int:
     group = group_from_spec(args.spec)
-    data = tensor_square(group, max_cosets=args.max_cosets)
+    data = tensor_square(group, Squares(args.max_cosets))
     subgroup = (
         subgroup_from_words(group, args.subgroup)
         if args.subgroup is not None

@@ -29,7 +29,8 @@ paths that applies:
 * every other group is realized by enumerating the cosets of G in nu(G);
   ``_from_table`` reads the order and the matrix from the cosets.
 
-``max_cosets`` bounds the live cosets of an enumeration and nothing else.
+A ``Squares`` session holds one run's ``max_cosets``, which bounds the live
+cosets of an enumeration and nothing else, and memoizes squares by table.
 The 2-group path needs no bound: nu(G) is a finite 2-group, so the class loop
 ends, and ``tensor_square_presentation`` refuses groups above order 64.
 
@@ -40,7 +41,6 @@ matrix is symmetric, triviality of a pair forces the two elements to commute).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -73,8 +73,8 @@ class TensorSquareData:
     ``trivial[x][y]`` is True exactly when ``x (x) y`` is the identity of the
     tensor-square group.  ``counters`` is ``(defined, peak_live,
     coincidences)`` of the enumeration it was read from (see ``CosetTable``),
-    or None if the group was not enumerated.  The square names no group: the
-    cache shares it between every group with the same table.
+    or None if the group was not enumerated.  The square names no group: a
+    ``Squares`` session shares it between every group with the same table.
     """
 
     order: int
@@ -85,62 +85,59 @@ class TensorSquareData:
         return sum(self.trivial[x])
 
 
-_cache_lock = threading.Lock()
-_tensor_cache: dict[tuple[bytes, int], TensorSquareData] = {}
+class Squares:
+    """The tensor squares of one run, memoized by table, under one coset cap.
 
-
-def tensor_square(
-    group: FiniteGroup, max_cosets: int = DEFAULT_MAX_COSETS
-) -> TensorSquareData:
-    """Tensor square of ``group``; raises LimitError past ``max_cosets``.
-
-    Only enumerated squares are bounded by ``max_cosets``: those of a
-    nonabelian group that is neither a direct product nor a 2-group, or of
-    such a factor.
-    The path is read from the table alone, so results are memoized on the
-    table and the bound: equal tables share one computation per process.
-    ``max_cosets`` below 1 is a SpecError whichever path the group takes.
+    A run (a serial ``run_suite``, one ``tensor`` or ``degree`` command) makes
+    one session and has one cap, so a hit never hides a ``LimitError`` that a
+    lower cap would raise.  The cap bounds enumerated squares only.  An
+    overflow is not kept: each overflowing group raises under its own name.
+    A session belongs to one run and the package starts no threads, so it
+    takes no lock.
     """
-    if max_cosets < 1:
-        raise SpecError(f"max_cosets must be at least 1, got {max_cosets}")
-    return _square(group, max_cosets)
+
+    def __init__(self, max_cosets: int = DEFAULT_MAX_COSETS) -> None:
+        if max_cosets < 1:
+            raise SpecError(f"max_cosets must be at least 1, got {max_cosets}")
+        self.max_cosets = max_cosets
+        self._memo: dict[bytes, TensorSquareData] = {}
+
+    def __call__(self, group: FiniteGroup) -> TensorSquareData:
+        key = group.table_key()
+        if key in self._memo:
+            return self._memo[key]
+        if group.is_abelian():
+            square = bilinear_tensor(group, group)
+            data = TensorSquareData(square.order, square.trivial)
+        elif (factors := direct_factors(group)) is not None:
+            data = _product(group, *factors, self)
+        elif group.order & (group.order - 1) == 0:
+            data = _from_two_quotient(group)
+        else:
+            table = todd_coxeter(tensor_square_presentation(group), max_cosets=self.max_cosets)
+            if table.status != COMPLETED:
+                # a factor is named after its parent, as in C2xS3<6>
+                raise LimitError(
+                    f"tensor-square enumeration for {group.name} exceeded {self.max_cosets} cosets"
+                )
+            data = _from_table(group, table)
+        _validate(group, data)
+        self._memo[key] = data
+        return data
 
 
-def _square(group: FiniteGroup, max_cosets: int) -> TensorSquareData:
-    key = (group.table_key(), max_cosets)
-    with _cache_lock:
-        hit = _tensor_cache.get(key)
-    if hit is not None:
-        return hit
-
-    if group.is_abelian():
-        square = bilinear_tensor(group, group)
-        data = TensorSquareData(square.order, square.trivial)
-    elif (factors := direct_factors(group)) is not None:
-        data = _product(group, *factors, max_cosets)
-    elif group.order & (group.order - 1) == 0:
-        data = _from_two_quotient(group)
-    else:
-        table = todd_coxeter(tensor_square_presentation(group), max_cosets=max_cosets)
-        if table.status != COMPLETED:
-            # a factor is named after its parent, as in C2xS3<6>
-            raise LimitError(
-                f"tensor-square enumeration for {group.name} exceeded {max_cosets} cosets"
-            )
-        data = _from_table(group, table)
-    _validate(group, data)
-    with _cache_lock:
-        _tensor_cache.setdefault(key, data)
-    return data
+def tensor_square(group: FiniteGroup, squares: Optional[Squares] = None) -> TensorSquareData:
+    """Tensor square of ``group`` in ``squares``, or in a new session at the default cap."""
+    return (squares or Squares())(group)
 
 
 def _product(
-    group: FiniteGroup, n: SubgroupHandle, m: SubgroupHandle, max_cosets: int
+    group: FiniteGroup, n: SubgroupHandle, m: SubgroupHandle, squares: Squares
 ) -> TensorSquareData:
     """Square of the internal direct product ``group = N x M``, with N and M
     re-indexed as groups A and K; ``pairs[g]`` is (g, a, b) with ``g = a b``."""
     (a_group, a_embed), (k_group, k_embed) = subgroup_as_group(n), subgroup_as_group(m)
-    left, right = _square(a_group, max_cosets), _square(k_group, max_cosets)
+    left, right = squares(a_group), squares(k_group)
     a_ab, a_proj = quotient(a_group, derived_subgroup(a_group))
     k_ab, k_proj = quotient(k_group, derived_subgroup(k_group))
     cross = bilinear_tensor(a_ab, k_ab)

@@ -48,6 +48,7 @@ from .groups import (
 )
 from .specs import group_from_spec, subgroup_from_words
 from .tensor import (
+    Squares,
     TensorSquareData,
     j2_order,
     tensor_center,
@@ -162,12 +163,15 @@ class EntryContext:
     they read, named after its group.  ``child`` keeps one such quotient
     context per name and table; the sharing is exact, as everything a
     context computes (degrees, the tensor square, Z-tensor, the tensor class)
-    is a function of its table, and a ``LimitError`` note reads the name."""
+    is a function of its table, and a ``LimitError`` note reads the name.
+    Children square in their root's ``Squares`` session: the run's, or its own."""
 
-    def __init__(self, spec: str, group: FiniteGroup, config: Config) -> None:
+    def __init__(self, spec: str, group: FiniteGroup, config: Config,
+                 squares: Optional[Squares] = None) -> None:
         self.spec = spec
         self.group = group
         self.config = config
+        self.squares = squares or Squares(config.max_cosets)
         self._tensor: TensorSquareData | LimitError | None = None
         self._memos: dict[str, dict] = {}
 
@@ -183,7 +187,7 @@ class EntryContext:
         """The tensor square; an overflow is enumerated once and then re-raised."""
         if self._tensor is None:
             try:
-                self._tensor = tensor_square(self.group, max_cosets=self.config.max_cosets)
+                self._tensor = tensor_square(self.group, self.squares)
             except LimitError as exc:
                 self._tensor = exc
         if isinstance(self._tensor, LimitError):
@@ -207,6 +211,12 @@ class EntryContext:
     def full(self) -> SubgroupHandle:
         return full_subgroup(self.group)
 
+    @cached_property
+    def pairs(self) -> list[tuple[SubgroupHandle, SubgroupHandle]]:
+        """Every subgroup H with every normal subgroup of G inside it."""
+        normals = normal_subgroups(self.group)
+        return [(h, nh) for h in all_subgroups(self.group) for nh in normals if nh <= h]
+
     def dn(self, h: SubgroupHandle, n: int) -> Fraction:
         return self._memo(
             "dn", (h.elements, n), lambda: rel_n_tensor_degree(self.group, self.tensor, h, n)
@@ -224,7 +234,7 @@ class EntryContext:
     def child(self, group: FiniteGroup) -> "EntryContext":
         """The context of a group built from this one, one per name and table."""
         return self._memo("child", (group.name, group.table_key()),
-                          lambda: EntryContext(group.name, group, self.config))
+                          lambda: EntryContext(group.name, group, self.config, self.squares))
 
     def quotient(self, n: SubgroupHandle) -> tuple["EntryContext", tuple[int, ...]]:
         """The context of G/N and the projection onto it; G/N's tensor square
@@ -289,12 +299,7 @@ def _per_subgroup_n(ctx: EntryContext, proper: bool = False) -> list[dict]:
 def _per_pair(ctx: EntryContext, with_n: bool = False) -> list[dict]:
     """Every subgroup H with every normal subgroup of G inside it, and with
     every n if asked."""
-    pairs = [
-        {"subgroup": h, "normal": nh}
-        for h in all_subgroups(ctx.group)
-        for nh in normal_subgroups(ctx.group)
-        if nh <= h
-    ]
+    pairs = [{"subgroup": h, "normal": nh} for h, nh in ctx.pairs]
     if not with_n:
         return pairs
     return [{**pair, "n": n} for pair in pairs for n in ctx.config.n_values]
@@ -655,7 +660,7 @@ def _evaluate(ctx: EntryContext, check_id: str, inst: dict) -> TheoremCheck:
 def check_theorem(
     check_id: str, instance: dict, config: Optional[Config] = None
 ) -> TheoremCheck:
-    """Evaluate a single check instance from scratch.
+    """Evaluate a single check instance from scratch, in a session of its own.
 
     ``instance`` carries at least ``group`` (a spec string) plus whatever the
     check consumes: ``subgroup`` and ``normal`` as element-index sequences,
@@ -687,10 +692,10 @@ def check_theorem(
 
 
 def evaluate_entry(
-    entry: CorpusEntry, check_ids: Sequence[str], config: Config
+    entry: CorpusEntry, check_ids: Sequence[str], config: Config, squares: Optional[Squares] = None
 ) -> list[TheoremCheck]:
-    """All checks for one corpus entry; the unit of parallel work."""
-    ctx = EntryContext(entry.spec, entry.group, config)
+    """All checks for one corpus entry, in ``squares``; the unit of parallel work."""
+    ctx = EntryContext(entry.spec, entry.group, config, squares)
     records = []
     for check_id in check_ids:
         overflow = _overflow(ctx, check_id)
@@ -760,8 +765,9 @@ def run_suite(
     """Evaluate the requested checks on every corpus entry.
 
     Entries are independent; with ``config.jobs > 1`` they are evaluated in a
-    process pool.  The report is a deterministic ordered merge, so worker
-    count never changes the output bytes.
+    process pool, each in a ``Squares`` session of its own, and serially in
+    one session for the run.  The report is a deterministic ordered merge, so
+    worker count never changes the output bytes.
     """
     config = config or Config()
     ids = normalize_check_ids(check_ids)
@@ -773,7 +779,8 @@ def run_suite(
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             batches = list(pool.map(evaluate_entry, corpus, repeat(ids), repeat(config)))
     else:
-        batches = [evaluate_entry(entry, ids, config) for entry in corpus]
+        squares = Squares(config.max_cosets)
+        batches = [evaluate_entry(entry, ids, config, squares) for entry in corpus]
     checks = [check for batch in batches for check in batch]
     checks.sort(key=TheoremCheck.sort_key)
     return VerificationReport(

@@ -3,7 +3,7 @@ import os
 import pytest
 
 import grouptensor
-from grouptensor import group_from_spec, tensor_square
+from grouptensor import Squares, group_from_spec
 
 # subprocess tests run ``python -m grouptensor``: children import the same
 # source tree as this process, with or without PYTHONPATH set by the caller
@@ -28,9 +28,10 @@ def groups():
 
 @pytest.fixture(scope="session")
 def tensors(groups):
-    """Tensor squares by spec string (backed by the module-level memo)."""
+    """Tensor squares by spec string, from one session for the test run."""
+    squares = Squares()
 
     def get(spec: str):
-        return tensor_square(groups(spec))
+        return squares(groups(spec))
 
     return get

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from grouptensor import (
     FiniteGroup,
+    Squares,
     center,
     centralizer,
     derived_subgroup,
@@ -28,7 +29,6 @@ from grouptensor import (
 )
 from grouptensor import pquotient
 from grouptensor import tensor as tensor_module
-from grouptensor.coset_enum import DEFAULT_MAX_COSETS
 from grouptensor.errors import LimitError
 from grouptensor.groups import (
     SubgroupHandle,
@@ -80,7 +80,7 @@ def enumerated(group):
 
 def decomposed(group):
     """(order, trivial) by the direct-product decomposition, even for abelian groups."""
-    data = tensor_module._product(group, *direct_factors(group), DEFAULT_MAX_COSETS)
+    data = tensor_module._product(group, *direct_factors(group), Squares())
     return data.order, data.trivial
 
 
@@ -92,8 +92,7 @@ def shuffled(group, seed=1):
 
 def nu_orders(monkeypatch):
     """Orders of the groups whose squares are read from nu(G) from now on, by
-    enumeration or as a 2-quotient, memo cleared."""
-    monkeypatch.setattr(tensor_module, "_tensor_cache", {})
+    enumeration or as a 2-quotient."""
     orders = []
     presentation = tensor_module.tensor_square_presentation
 
@@ -147,10 +146,10 @@ def test_two_factor_products_match_enumeration(left, right):
 
 def test_limit_propagates_with_group_name(groups):
     with pytest.raises(LimitError) as err:
-        tensor_square(groups("S3"), max_cosets=5)
+        tensor_square(groups("S3"), Squares(5))
     assert str(err.value) == "tensor-square enumeration for S3 exceeded 5 cosets"
     with pytest.raises(LimitError) as err:
-        tensor_square(group_from_spec("C2xS3"), max_cosets=5)
+        tensor_square(group_from_spec("C2xS3"), Squares(5))
     assert "tensor-square enumeration for C2xS3<6> exceeded 5 cosets" in str(err.value)
 
 
@@ -158,7 +157,6 @@ def test_product_tables_take_the_product_path_however_labelled(monkeypatch):
     product = group_from_spec("C2xQ8")
     orders = nu_orders(monkeypatch)
     for group in (shuffled(product), FiniteGroup(product.mul)):
-        tensor_module._tensor_cache.clear()
         assert tensor_square(group).order == 2048
     # each reads only its Q8 factor from nu
     assert orders == [8, 8]
@@ -254,7 +252,6 @@ def test_indecomposable_two_groups_leave_the_enumerator(groups, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a 2-group was enumerated")
 
-    monkeypatch.setattr(tensor_module, "_tensor_cache", {})
     monkeypatch.setattr(tensor_module, "todd_coxeter", refuse)
     started = time.monotonic()
     orders = sorted(tensor_square(g).order for g in d8xd8_subgroups(groups))
@@ -276,15 +273,32 @@ def test_only_enumerated_squares_keep_counters(groups):
 
 
 def test_a_square_is_its_order_and_matrix():
-    # the cache shares a square between equal tables, so it names no group
+    # a session shares a square between equal tables, so it names no group
     names = [f.name for f in dataclasses.fields(tensor_module.TensorSquareData)]
     assert names == ["order", "trivial", "counters"]
+
+
+def test_a_session_squares_each_table_once(groups, monkeypatch):
+    # the memo is keyed on the table alone: a new name or an identity
+    # relabelling hits it
+    calls = []
+    two_quotient = pquotient.two_quotient
+
+    def counted(presentation):
+        calls.append(presentation)
+        return two_quotient(presentation)
+
+    monkeypatch.setattr(pquotient, "two_quotient", counted)
+    d32, squares = groups("D32"), Squares()
+    same = [FiniteGroup(d32.mul, name="X"), relabeled(d32, list(range(d32.order)))]
+    assert all(squares(g) is squares(d32) for g in same)
+    assert len(calls) == 1
 
 
 def test_the_two_quotient_path_ignores_the_coset_cap(groups):
     # enumeration would need 8 * 64 cosets for Q8 and 32 * 2^16 for
     # 2^{1+4}_+, but the 2-quotient path holds no coset table
-    assert tensor_square(groups("Q8"), max_cosets=1).order == 64
+    assert tensor_square(groups("Q8"), Squares(1)).order == 64
     assert tensor_square(extraspecial_32(groups)).order == 2**16
 
 
@@ -313,7 +327,6 @@ def test_two_group_pieces_of_order_64_products_square_without_a_cap(monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("a 2-group was enumerated")
 
-    monkeypatch.setattr(tensor_module, "_tensor_cache", {})
     monkeypatch.setattr(tensor_module, "todd_coxeter", refuse)
     monkeypatch.setattr(pquotient, "two_quotient", measured)
     pieces = {}
@@ -358,7 +371,6 @@ def test_two_quotient_path_matches_enumeration_on_d64(groups):
 
 def test_products_and_abelian_groups_finish_fast(monkeypatch):
     # each took minutes or did not finish when every square was enumerated
-    monkeypatch.setattr(tensor_module, "_tensor_cache", {})
     started = time.monotonic()
     for spec, order in [
         ("C2xQ8", 2048), ("Q8xC4", 4096), ("E2^4", 2**16), ("E2^5", 2**25)

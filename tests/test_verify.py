@@ -20,6 +20,7 @@ from grouptensor import (
     tensor_degree,
     tensor_square,
 )
+from grouptensor import tensor as tensor_module
 from grouptensor.degrees import format_decimal
 from grouptensor.groups import FiniteGroup, all_subgroups, normal_subgroups
 from grouptensor.verify import (
@@ -122,6 +123,22 @@ def test_children_with_one_table_and_two_names_are_two_contexts():
     assert ctx.child(group_from_spec("C2")) is same
     renamed = ctx.child(FiniteGroup(c2.mul, name="C4/N2"))
     assert renamed is not same and renamed.group.name == "C4/N2"
+    assert renamed.tensor is same.tensor
+
+
+def test_a_serial_suite_squares_each_table_once(monkeypatch):
+    calls = []
+    enumerate_ = tensor_module.todd_coxeter
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_(*args, **kwargs)
+
+    monkeypatch.setattr(tensor_module, "todd_coxeter", counted)
+    s3 = group_from_spec("S3")
+    corpus = [CorpusEntry("S3", s3), CorpusEntry("T", FiniteGroup(s3.mul, name="T"))]
+    run_suite(corpus, "all", Config(max_order=6))
+    assert len(calls) == 1
 
 
 def test_verify_on_e2_5_builds_one_context_per_name_and_table(monkeypatch):
