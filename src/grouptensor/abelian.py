@@ -12,8 +12,8 @@ The tests compare it with coset enumeration, which never calls it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
+from typing import NamedTuple
 
 from .errors import ConsistencyError
 from .groups import (
@@ -26,8 +26,7 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class AbelianTensorOracle:
+class AbelianTensorOracle(NamedTuple):
     """Order of ``A (x)_Z B`` and ``trivial[x][y]``: whether ``x (x) y`` vanishes."""
 
     order: int

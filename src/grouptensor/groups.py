@@ -11,10 +11,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import permutations, product
 from math import lcm
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import SpecError
 
@@ -221,8 +220,7 @@ class SubgroupHandle:
         return f"SubgroupHandle(order={self.order}, of={self.parent.name!r})"
 
 
-@dataclass(frozen=True)
-class GroupWord:
+class GroupWord(NamedTuple):
     """A word over named generators: a sequence of (label, exponent) factors."""
 
     factors: tuple[tuple[str, int], ...]

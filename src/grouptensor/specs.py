@@ -14,7 +14,7 @@ e.g. ``"a^2,a*b"``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SpecError
 from .groups import (
@@ -35,8 +35,7 @@ from .groups import (
 _TERM_RE = re.compile(r"([CDQSAE])(\d+)(?:\^(\d+))?")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """A parsed spec: one or more named-family terms joined by direct product."""
 
     terms: tuple[tuple[str, int, int | None], ...]

@@ -41,8 +41,7 @@ matrix is symmetric, triviality of a pair forces the two elements to commute).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .abelian import bilinear_tensor
 from .coset_enum import (
@@ -66,8 +65,7 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class TensorSquareData:
+class TensorSquareData(NamedTuple):
     """Order of the tensor square plus the pair-triviality matrix.
 
     ``trivial[x][y]`` is True exactly when ``x (x) y`` is the identity of the
@@ -107,8 +105,7 @@ class Squares:
         if key in self._memo:
             return self._memo[key]
         if group.is_abelian():
-            square = bilinear_tensor(group, group)
-            data = TensorSquareData(square.order, square.trivial)
+            data = TensorSquareData(*bilinear_tensor(group, group))
         elif (factors := direct_factors(group)) is not None:
             data = _product(group, *factors, self)
         elif group.order & (group.order - 1) == 0:
@@ -144,12 +141,11 @@ def _product(
     pairs = sorted(
         (group.mul[x][y], a, b) for a, x in enumerate(a_embed) for b, y in enumerate(k_embed)
     )
+    # the matrices as locals: a record field is read once per cell otherwise
+    at, kt, ct = left.trivial, right.trivial, cross.trivial
     trivial = tuple(
         tuple(
-            left.trivial[a][a2]
-            and right.trivial[b][b2]
-            and cross.trivial[a_proj[a]][k_proj[b2]]
-            and cross.trivial[a_proj[a2]][k_proj[b]]
+            at[a][a2] and kt[b][b2] and ct[a_proj[a]][k_proj[b2]] and ct[a_proj[a2]][k_proj[b]]
             for _, a2, b2 in pairs
         )
         for _, a, b in pairs

@@ -23,7 +23,7 @@ worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import repeat
@@ -62,20 +62,24 @@ from .version import __version__
 DISCREPANCY_NOTE = "paper-example-discrepancy"
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(
+    namedtuple(
+        "Config", "max_cosets max_order n_values jobs",
+        defaults=(DEFAULT_MAX_COSETS, 16, (1, 2, 3, 4), 1),
+    )
+):
     """Suite configuration; the computation-relevant fields are echoed into reports."""
 
-    max_cosets: int = DEFAULT_MAX_COSETS
-    max_order: int = 16
-    n_values: tuple[int, ...] = (1, 2, 3, 4)
-    jobs: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    # validated here, which a typing.NamedTuple cannot define
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_cosets < 1 or self.max_order < 1 or self.jobs < 1:
             raise SpecError("config bounds must be positive")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise SpecError("n range must be positive")
+        return self
 
     def echo(self) -> dict:
         # jobs steers execution, not the computation, and reports must be
@@ -89,8 +93,7 @@ class Config:
         }
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     """One corpus group and the spec it was built from."""
 
     spec: str
@@ -706,8 +709,7 @@ def evaluate_entry(
     return records
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     version: str
     config: dict
     checks: list[TheoremCheck]
@@ -765,9 +767,10 @@ def run_suite(
     """Evaluate the requested checks on every corpus entry.
 
     Entries are independent; with ``config.jobs > 1`` they are evaluated in a
-    process pool, each in a ``Squares`` session of its own, and serially in
-    one session for the run.  The report is a deterministic ordered merge, so
-    worker count never changes the output bytes.
+    process pool of at most one worker per entry, each in a ``Squares``
+    session of its own, and serially in one session for the run.  The report
+    is a deterministic ordered merge, so worker count never changes the
+    output bytes.
     """
     config = config or Config()
     ids = normalize_check_ids(check_ids)
@@ -776,7 +779,8 @@ def run_suite(
         # ``import grouptensor``, and only parallel runs need it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # the pool starts every worker at its first submit: one per entry at most
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(corpus))) as pool:
             batches = list(pool.map(evaluate_entry, corpus, repeat(ids), repeat(config)))
     else:
         squares = Squares(config.max_cosets)

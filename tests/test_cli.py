@@ -34,7 +34,7 @@ def test_import_leaves_the_process_pool_unloaded():
     # formats and the command line load on first use, as each import compiles
     # its module when no bytecode is cached
     lazy = ["concurrent.futures.process", "grouptensor.pquotient", "grouptensor.report",
-            "grouptensor.cli"]
+            "grouptensor.cli", "dataclasses", "inspect"]
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, grouptensor; print([m for m in {lazy!r} if m in sys.modules])"],
@@ -115,6 +115,13 @@ def test_max_cosets_below_one_exit_2(capsys):
     for argv in (("tensor", "D8"), ("degree", "S3"), ("tensor", "C2xC4")):
         code, _, err = run_cli(capsys, *argv, "--max-cosets", "0")
         assert code == 2 and "max_cosets must be at least 1" in err, argv
+
+
+@pytest.mark.parametrize("option", ["--jobs", "--n-max", "--max-order", "--max-cosets"])
+def test_verify_config_bound_below_one_exit_2_before_any_output(capsys, option):
+    code, out, err = run_cli(capsys, "verify", option, "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "must be positive" in err
 
 
 def test_options_a_command_lacks_exit_2(capsys):

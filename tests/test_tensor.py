@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 from itertools import product
@@ -274,7 +273,7 @@ def test_only_enumerated_squares_keep_counters(groups):
 
 def test_a_square_is_its_order_and_matrix():
     # a session shares a square between equal tables, so it names no group
-    names = [f.name for f in dataclasses.fields(tensor_module.TensorSquareData)]
+    names = list(tensor_module.TensorSquareData._fields)
     assert names == ["order", "trivial", "counters"]
 
 

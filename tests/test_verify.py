@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -232,6 +233,33 @@ def test_suite_parallel_matches_serial():
     serial = run_suite(corpus, ("thm-2.2", "thm-quot", "ex-3.3"), Config(max_order=8, jobs=1))
     parallel = run_suite(corpus, ("thm-2.2", "thm-quot", "ex-3.3"), Config(max_order=8, jobs=4))
     assert serial.to_json() == parallel.to_json()
+
+
+def test_the_pool_starts_at_most_one_worker_per_entry(monkeypatch):
+    # the pool starts all its workers on its first submit; a fake records the
+    # size asked for and maps serially, so no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    corpus = builtin_corpus(4)[:2]
+    ids = ("thm-2.2", "thm-quot")
+    serial = run_suite(corpus, ids, Config(max_order=4, jobs=1))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    pooled = run_suite(corpus, ids, Config(max_order=4, jobs=64))
+    assert sizes == [2]
+    assert pooled.to_json() == serial.to_json()
 
 
 def test_exactly_one_flagged_record():
