@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from .coset_enum import DEFAULT_MAX_COSETS
@@ -110,12 +111,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         corpus = corpus_from_file(args.corpus, config.max_order)
     report = run_suite(corpus, args.theorems, config)
-    rendered = report.render(args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    # compiled here, not at import: only verify writes a report
+    from .report import WRITERS
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as handle:
+        WRITERS[args.format](report, handle.write)
     summary = report.summary
     print(
         f"checks: {len(report.checks)}  pass: {summary['pass']}  "

@@ -3,23 +3,33 @@
 ``VerificationReport`` imports this module on its first render, so a run that
 renders no report does not compile it.  The JSON text is the bytes of
 ``json.dumps(doc, indent=2) + "\\n"`` for the report's document of plain
-dicts, but written straight from the records: with any indent, the standard
-encoder takes its pure-Python path, one small string per token.  Tier-1
-checks the bytes against ``json.dumps``.
+dicts (tier-1 checks them), written straight from the records: with any
+indent, the standard encoder takes its pure-Python path, one small string per
+token.  The text is a flat list of pieces, one per field: its lead
+(``"    {\\n"`` or ``",\\n"``), key and value text, each distinct piece made
+once per render.  ``json_text`` joins all the pieces once; ``write_json`` hands
+a ``write`` callable one join of at most ``BATCH`` pieces at a time, and CSV
+and table text go to it a line at a time: ``verify`` never holds all the text.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import sys
 from fractions import Fraction
-from functools import cache
-from typing import TYPE_CHECKING, Optional
+from functools import cache, partial
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .degrees import format_decimal, format_fraction
 
 if TYPE_CHECKING:
     from .verify import TheoremCheck, VerificationReport
+
+Write = Callable[[str], object]
+
+# JSON pieces per write of ``write_json``: 120-190 KB of report text.
+BATCH = 4096
 
 # The record fields in report order; an optional field that is None is left
 # out of a JSON record.
@@ -29,8 +39,12 @@ _COLUMNS = (
     "holds", "skipped", "note", "witness",
 )
 _OPTIONAL = frozenset({"subgroup", "normal", "n", "variant", "skipped", "note", "witness"})
-_KEYS = {key: f'      "{key}": ' for key in _COLUMNS}
-_LITERALS = {None: "null", True: "true", False: "false"}
+# every record has an id, its first field
+_LEADS = {key: ("    {\n" if key == "id" else ",\n") + f'      "{key}": ' for key in _COLUMNS}
+# a witness, the last field, is a dict: unhashable, so not a memo key
+_HASHED = _COLUMNS[:-1]
+# the close of a record that another follows
+_NEXT = "\n    },\n"
 
 
 def _nested_json(value, depth: int = 3) -> str:
@@ -42,28 +56,23 @@ def _nested_json(value, depth: int = 3) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
+def _piece(key: str, cls: type, value) -> str:
+    """A field's JSON piece, memoized per render by ``cls``, the value's exact
+    class, so that True and 1 never share a piece."""
+    return _LEADS[key] + _nested_json(value)
+
+
 class _ReportText:
     """The text of record fields, for one render of one report.
 
     A report repeats few values many times (the suite at max-order 24 has 74
     distinct subgroup tuples in 6,732 uses and 282 distinct fractions in
-    9,822), so each distinct value is formatted once.  The memos live only as
-    long as the render that made them.
+    9,822), so each distinct fraction is formatted once, and ``write_json``
+    makes each distinct piece once.  The memos live only as long as the render.
     """
 
     def __init__(self) -> None:
         self._fractions: dict = {}
-        # json encodes a string with its C encode_basestring_ascii
-        texts = cache(_nested_json)
-        # by exact class, so that True and 1 never share a memo entry; any
-        # other class (a witness dict) is encoded each time
-        self._json = {
-            str: texts,
-            tuple: texts,
-            int: int.__repr__,
-            bool: _LITERALS.__getitem__,
-            type(None): _LITERALS.__getitem__,
-        }
 
     def _fraction(self, value: Optional[Fraction]) -> tuple:
         if value is None:
@@ -83,40 +92,45 @@ class _ReportText:
             check.holds, check.skipped or None, check.note, check.witness,
         )
 
-    def json_record(self, check: TheoremCheck) -> str:
-        encoders = self._json
-        fields = [
-            _KEYS[key] + encoders.get(item.__class__, _nested_json)(item)
-            for key, item in zip(_COLUMNS, self.row(check))
+
+def write_json(report: VerificationReport, write: Write, batch: Optional[int] = None) -> None:
+    """Write the JSON text of ``report`` through ``write``, each call one join
+    of at most ``batch`` pieces (``BATCH`` when not given)."""
+    batch = batch or BATCH
+    text, piece = _ReportText(), cache(_piece)
+    pieces = [
+        '{\n  "version": ' + _nested_json(report.version, 1)
+        + ',\n  "config": ' + _nested_json(report.config, 1)
+        + ',\n  "checks": ' + ("[\n" if report.checks else "[]")
+    ]
+    for check in report.checks:
+        pieces += [
+            piece(key, item.__class__, item)
+            for key, item in zip(_HASHED, text.row(check))
             if item is not None or key not in _OPTIONAL
         ]
-        return "    {\n" + ",\n".join(fields) + "\n    }"
+        if check.witness is not None:
+            pieces.append(_LEADS["witness"] + _nested_json(check.witness))
+        pieces.append(_NEXT)
+        # leaves at least the record's _NEXT, which the tail may replace
+        while len(pieces) > batch:
+            write("".join(pieces[:batch]))
+            del pieces[:batch]
+    # the tail replaces the last _NEXT, or ends the head of an empty report
+    last = "\n    }\n  ]" if report.checks else pieces[-1]
+    pieces[-1] = last + ',\n  "summary": ' + _nested_json(report.summary, 1) + "\n}\n"
+    write("".join(pieces))
 
 
-def json_text(report: VerificationReport) -> str:
-    text = _ReportText()
-    records = ",\n".join(map(text.json_record, report.checks))
-    # the records are joined into the report as they are, not copied first
-    checks = ("[\n", records, "\n  ]") if records else ("[]",)
-    return "".join((
-        '{\n  "version": ', _nested_json(report.version, 1),
-        ',\n  "config": ', _nested_json(report.config, 1),
-        ',\n  "checks": ', *checks,
-        ',\n  "summary": ', _nested_json(report.summary, 1),
-        "\n}\n",
-    ))
-
-
-def csv_text(report: VerificationReport) -> str:
+def write_csv(report: VerificationReport, write: Write) -> None:
     import csv
 
     text = _ReportText()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    # a csv writer calls ``write`` once per row
+    writer = csv.writer(SimpleNamespace(write=write), lineterminator="\n")
     writer.writerow(_COLUMNS)
     for check in report.checks:
         writer.writerow([_csv_cell(value) for value in text.row(check)])
-    return buf.getvalue()
 
 
 def _csv_cell(value) -> str:
@@ -129,9 +143,9 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def table_text(report: VerificationReport) -> str:
+def write_table(report: VerificationReport, write: Write) -> None:
     header = f"{'id':12} {'group':10} {'sub':4} {'nrm':4} {'n':>2} {'variant':18} {'lhs':>12} {'rhs':>12} verdict"
-    lines = [header, "-" * len(header)]
+    write(header + "\n" + "-" * len(header) + "\n")
     for check in report.checks:
         sub = str(len(check.subgroup)) if check.subgroup else ""
         nrm = str(len(check.normal)) if check.normal else ""
@@ -145,13 +159,25 @@ def table_text(report: VerificationReport) -> str:
             verdict = "VIOLATED"
         lhs = format_fraction(check.lhs) if check.lhs is not None else ""
         rhs = format_fraction(check.rhs) if check.rhs is not None else ""
-        lines.append(
+        write(
             f"{check.id:12} {check.group:10} {sub:4} {nrm:4} "
             f"{check.n if check.n is not None else '':>2} "
-            f"{check.variant or '':18} {lhs:>12} {rhs:>12} {verdict}"
+            f"{check.variant or '':18} {lhs:>12} {rhs:>12} {verdict}\n"
         )
-    lines.append("")
-    lines.append(
-        "pass {pass} fail {fail} skipped {skipped} flagged {flagged}".format(**report.summary)
-    )
-    return "\n".join(lines) + "\n"
+    write("\npass {pass} fail {fail} skipped {skipped} flagged {flagged}\n".format(**report.summary))
+
+
+WRITERS = {"json": write_json, "csv": write_csv, "table": write_table}
+
+
+def _joined(writer: Callable, report: VerificationReport) -> str:
+    """All that ``writer`` writes of ``report``, as one string."""
+    texts: list[str] = []
+    writer(report, texts.append)
+    return "".join(texts)
+
+
+# to_json's text: every piece in one batch, joined once
+json_text = partial(_joined, partial(write_json, batch=sys.maxsize))
+csv_text = partial(_joined, write_csv)
+table_text = partial(_joined, write_table)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shlex
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from grouptensor import report
 from grouptensor.cli import build_parser, main
 
 
@@ -262,3 +264,69 @@ def test_verify_jobs_byte_identical(tmp_path, capsys):
     assert run_cli(capsys, *args, "--jobs", "1", "--out", str(a))[0] == 0
     assert run_cli(capsys, *args, "--jobs", "8", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    ("max_order", "fmt", "pinned"),
+    [
+        (24, "json", "0039a9e302c7b844fab08832d2f2dc7b255fabd7485535534c248aa50d3fdeee"),
+        (8, "csv", "51fe464c491c907faed7013ef1fc9292053fe17f8850c1cb0c3626bb49b435ce"),
+        (8, "table", "1e60c7552e694e1de0ed538fc18310ccbfca5d12b9e2c8b7841c88a39df97fb8"),
+    ],
+    ids=["json-24", "csv-8", "table-8"],
+)
+def test_verify_writes_the_pinned_report_in_batches(
+    tmp_path, capsys, monkeypatch, max_order, fmt, pinned
+):
+    # a JSON batch far below the report's 56,826 pieces
+    monkeypatch.setattr(report, "BATCH", 1000)
+    writes = []
+    writer = report.WRITERS[fmt]
+
+    def counted(rep, write):
+        def counting(text):
+            writes.append(text)
+            return write(text)
+
+        writer(rep, counting)
+
+    monkeypatch.setitem(report.WRITERS, fmt, counted)
+    out_path = tmp_path / "report"
+    args = ["verify", "--max-order", str(max_order), "--format", fmt]
+    for out in (["--out", str(out_path)], []):
+        writes.clear()
+        code, stdout, _ = run_cli(capsys, *args, *out)
+        assert code == 1
+        data = out_path.read_bytes() if out else stdout.encode("utf-8")
+        assert hashlib.sha256(data).hexdigest() == pinned
+        assert len(writes) > 1 and "".join(writes).encode("utf-8") == data
+
+
+@pytest.mark.slow
+def test_verify_writes_the_largest_report_in_bounded_memory(tmp_path):
+    # E2^6 gives 515,262 records, about 270 MB of JSON; evaluation alone peaks
+    # near 260 MB, and the batched writes add little to that.  One child
+    # process, which reports its own peak resident memory (KiB on Linux).
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("E2^6\n", encoding="utf-8")
+    out_path = tmp_path / "report.json"
+    script = (
+        "import resource, sys\n"
+        "from grouptensor.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "verify", "--corpus", str(corpus),
+         "--max-order", "64", "--out", str(out_path)],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 1, proc.stderr
+    peak_mb = int(proc.stderr.splitlines()[-1]) / 1024
+    digest = hashlib.sha256()
+    with open(out_path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    assert digest.hexdigest() == "7509464d071328c746640d9c9e69091e6499d8c57e7dc887272e6126be89f5c3"
+    assert peak_mb < 400, peak_mb

@@ -24,6 +24,7 @@ from grouptensor import (
 from grouptensor import tensor as tensor_module
 from grouptensor.degrees import format_decimal
 from grouptensor.groups import FiniteGroup, all_subgroups, normal_subgroups
+from grouptensor.report import write_json
 from grouptensor.verify import (
     ALL_CHECK_IDS,
     DISCREPANCY_NOTE,
@@ -343,7 +344,8 @@ def test_report_above_order_32_is_pinned(tmp_path, spec, checks, failures, pinne
 def test_order_64_two_group_report_is_pinned(tmp_path, spec, summary, failures, pinned):
     # a few seconds each, with no skips: the 2-group quotients, 2^{1+4}_+
     # among them, square under the default coset cap; E2^6, the largest
-    # legal report (about 280 MB of JSON), takes 15-30 s and about 1 GB
+    # legal report (about 280 MB of JSON), takes 15-30 s, and its whole
+    # to_json text lifts the peak to about 500 MB
     report = single_spec_report(tmp_path, spec, 64)
     passed, failed = summary
     assert report.summary == {"pass": passed, "fail": failed, "skipped": 0, "flagged": 0}
@@ -448,7 +450,37 @@ HAND_BUILT = [
                  holds=False, witness={}),
     TheoremCheck(id="thm-quot", group="C4", subgroup=(), normal=(0,), n=1,
                  lhs=Fraction(0), rhs=Fraction(1, 3), holds=True, skipped=False),
+    # tuples of the ints 0 and 1 beside bool fields, then 1 and True swapped
+    # between n and holds: equal values of another class share no piece
+    TheoremCheck(id="thm-2.2", group="C2", subgroup=(0, 1), normal=(1,), n=1,
+                 lhs=Fraction(1), rhs=Fraction(1), relation="eq", holds=True),
+    TheoremCheck(id="thm-2.2", group="C2", subgroup=(0, 1), normal=(0,), n=True,
+                 lhs=Fraction(1), rhs=Fraction(1), relation="eq", holds=1, skipped=True),
 ]
+
+
+def json_writes(report, batch):
+    writes = []
+    write_json(report, writes.append, batch)
+    return writes
+
+
+def assert_batched_writes_match(report, text):
+    """The JSON writes of ``report`` add up to ``text`` for batches of 1, 7
+    and more pieces than the report has.
+
+    With a batch of 1 each write is one piece: the head, then one per field
+    present and one per record close, the last close with the tail (the head
+    takes it when there is no record).  Each write of a larger batch joins
+    exactly that many of those pieces in order, the last write at most that
+    many, so no write holds more than one batch.
+    """
+    pieces = json_writes(report, 1)
+    assert "".join(pieces) == text
+    assert len(pieces) == 1 + sum(len(oracle_record(check)) + 1 for check in report.checks)
+    for batch in (7, len(pieces) + 1):
+        expected = ["".join(pieces[i:i + batch]) for i in range(0, len(pieces), batch)]
+        assert json_writes(report, batch) == expected
 
 
 @pytest.mark.parametrize("checks", [HAND_BUILT, HAND_BUILT[1:2], []], ids=["all", "one", "none"])
@@ -456,7 +488,9 @@ def test_hand_built_report_matches_the_stdlib_renderer(checks):
     report = VerificationReport(
         version=__version__, config=Config().echo(), checks=checks, summary=summarize(checks)
     )
-    assert report.to_json() == oracle_json(report)
+    text = oracle_json(report)
+    assert report.to_json() == text
+    assert_batched_writes_match(report, text)
     assert report.render("csv") == oracle_csv(report)
 
 
@@ -467,7 +501,9 @@ def test_hand_built_report_matches_the_stdlib_renderer(checks):
 )
 def test_suite_report_matches_the_stdlib_renderer(max_order, config):
     report = run_suite(builtin_corpus(max_order), "all", config)
-    assert report.to_json() == oracle_json(report)
+    text = oracle_json(report)
+    assert report.to_json() == text
+    assert_batched_writes_match(report, text)
     assert report.render("csv") == oracle_csv(report)
 
 
