@@ -3,13 +3,12 @@
 Everything is a reduced fraction: the commuting probability d(G), the
 tensor-triviality probability for a random pair, and the n-step relative
 form where a left-normed commutator of subgroup elements is paired against
-a group element, computed by a dynamic program over the commutator
-distribution.
+a group element, read from the commutator chain of the subgroup: level k
+counts the k-tuples by their left-normed commutator.
 """
 
 from grouptensor import (
     comm_degree,
-    commutator_distribution,
     format_decimal,
     format_fraction,
     group_from_spec,
@@ -35,15 +34,16 @@ for spec in ["C2", "C4", "S3", "D8", "Q8", "A4"]:
     show("d_tensor(G)", tensor_degree(g, data))
 
 print()
-print("== the commutator distribution driving the dynamic program ==")
+print("== level 2 of the commutator chain the degrees are read from ==")
 s3 = group_from_spec("S3")
-dist = commutator_distribution(s3, full_subgroup(s3), 2)
-counts = dict(sorted(dist.items()))
+data = tensor_square(s3)
+chain = []  # extended in place by every degree read from it
+rel_n_tensor_degree(s3, data, full_subgroup(s3), 2, chain)
+counts = dict(sorted(chain[1].items()))
 print(f"S3, pairs by commutator value: {counts} (total {sum(counts.values())})")
 
 print()
 print("== n-step degrees of S3 hit (2^n - 1)/2^n exactly ==")
-data = tensor_square(s3)
 for n in (1, 2, 3, 4):
     show(f"d_{n}(S3)", n_tensor_degree(s3, data, n))
 

@@ -9,7 +9,6 @@ from .coset_enum import (
 )
 from .degrees import (
     comm_degree,
-    commutator_distribution,
     format_decimal,
     format_fraction,
     n_tensor_degree,

@@ -4,16 +4,19 @@ Every value is an exact ``fractions.Fraction`` in lowest terms; floating
 point never enters a verdict.  Decimal strings exist for display only and
 are rounded half-to-even at three places.
 
-The n-fold degree runs a dynamic program over the distribution of
-left-normed commutators.
+The n-fold degree reads level n of H's commutator chain: c_k(v) counts the
+k-tuples from H with left-normed commutator v, c_1 is the indicator of H and
+c_(k+1)(w) = sum over v of c_k(v) #{x in H : [v, x] = w}.  Kept per subgroup,
+as ``verify`` keeps it, the chain costs one step per level for every n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional, Sequence
 
 from .errors import SpecError
-from .groups import FiniteGroup, SubgroupHandle, commutator, full_subgroup
+from .groups import FiniteGroup, SubgroupHandle, full_subgroup
 from .tensor import TensorSquareData
 
 
@@ -36,9 +39,7 @@ def format_decimal(value: Fraction) -> str:
 def rel_comm_degree(group: FiniteGroup, h: SubgroupHandle) -> Fraction:
     """Probability that a pair from H x G commutes, exactly."""
     mul = group.mul
-    hits = sum(
-        1 for a in h.elements for b in group.elements() if mul[a][b] == mul[b][a]
-    )
+    hits = sum(mul[a][b] == mul[b][a] for a in h.elements for b in group.elements())
     return Fraction(hits, h.order * group.order)
 
 
@@ -46,35 +47,32 @@ def comm_degree(group: FiniteGroup) -> Fraction:
     return rel_comm_degree(group, full_subgroup(group))
 
 
-def commutator_distribution(
-    group: FiniteGroup, h: SubgroupHandle, n: int
-) -> dict[int, int]:
-    """Counts of n-tuples from H by their left-normed commutator [x1, ..., xn].
-
-    Level 1 is the indicator of H; level k+1 sends mass c_k(v) to [v, x] for
-    every x in H.  Iterated commutators of subgroup elements stay in the
-    subgroup, so the support never leaves H, and the counts sum to |H|^n.
-    Keys are in no particular order.
-    """
-    if n < 1:
-        raise SpecError(f"degree index n must be at least 1, got {n}")
-    counts = {v: 1 for v in h.elements}
-    for _ in range(n - 1):
-        nxt: dict[int, int] = {}
-        for v, mass in counts.items():
-            for x in h.elements:
-                w = commutator(group, v, x)
-                nxt[w] = nxt.get(w, 0) + mass
-        counts = nxt
-    return counts
+def _next_level(group: FiniteGroup, h: SubgroupHandle, counts: dict[int, int]) -> dict[int, int]:
+    """c_(k+1) from c_k: each v sends its mass c_k(v) to [v, x] for every x in H."""
+    mul, inv, elems = group.mul, group.inv, h.elements
+    nxt: dict[int, int] = {}
+    for v, mass in counts.items():
+        row, iv = mul[v], inv[v]
+        for x in elems:
+            w = mul[mul[row[x]][iv]][inv[x]]
+            nxt[w] = nxt.get(w, 0) + mass
+    return nxt
 
 
 def rel_n_tensor_degree(
-    group: FiniteGroup, data: TensorSquareData, h: SubgroupHandle, n: int
+    group: FiniteGroup, data: TensorSquareData, h: SubgroupHandle, n: int,
+    chain: Optional[list] = None, sizes: Optional[Sequence[int]] = None,
 ) -> Fraction:
-    """Probability that ``[h1, ..., hn] (x) g`` is trivial, via the distribution."""
-    dist = commutator_distribution(group, h, n)
-    hits = sum(mass * data.centralizer_size(v) for v, mass in dist.items())
+    """Probability that ``[h1, ..., hn] (x) g`` is trivial, from level n of
+    H's chain ``[c_1, c_2, ...]``, which is extended in place; ``sizes`` is
+    ``data.centralizer_sizes()``.  Either is made afresh when not given."""
+    if n < 1:
+        raise SpecError(f"degree index n must be at least 1, got {n}")
+    chain = [] if chain is None else chain
+    while len(chain) < n:
+        chain.append(_next_level(group, h, chain[-1]) if chain else dict.fromkeys(h.elements, 1))
+    sizes = data.centralizer_sizes() if sizes is None else sizes
+    hits = sum(mass * sizes[v] for v, mass in chain[n - 1].items())
     return Fraction(hits, h.order**n * group.order)
 
 

@@ -173,20 +173,23 @@ class SubgroupHandle:
         if not elems or elems[0] != 0:
             raise SpecError("subgroup must contain the identity")
         eset = frozenset(elems)
-        mul = parent.mul
-        inv = parent.inv
+        # a finite subset with the identity that is closed under products is a subgroup
         for a in elems:
-            if inv[a] not in eset:
-                raise SpecError(f"subgroup not closed under inversion at {a}")
-            row = mul[a]
+            row = parent.mul[a]
             for b in elems:
                 if row[b] not in eset:
                     raise SpecError(f"subgroup not closed under product at ({a}, {b})")
-        if parent.order % len(elems) != 0:
-            raise SpecError("subgroup size does not divide the group order")
         self.parent = parent
         self.elements = elems
         self._set = eset
+
+    @classmethod
+    def _known(cls, parent: FiniteGroup, elements: tuple[int, ...]) -> "SubgroupHandle":
+        """A handle on a sorted tuple built inside the package from one known
+        to be a subgroup's, so not checked again."""
+        h = cls.__new__(cls)
+        h.parent, h.elements, h._set = parent, elements, frozenset(elements)
+        return h
 
     @property
     def order(self) -> int:
@@ -428,15 +431,16 @@ def closure(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
 
 
 def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> SubgroupHandle:
-    return SubgroupHandle(group, closure(group, gens))
+    # a closed finite subset with the identity is a subgroup
+    return SubgroupHandle._known(group, closure(group, gens))
 
 
 def trivial_subgroup(group: FiniteGroup) -> SubgroupHandle:
-    return SubgroupHandle(group, (0,))
+    return SubgroupHandle._known(group, (0,))
 
 
 def full_subgroup(group: FiniteGroup) -> SubgroupHandle:
-    return SubgroupHandle(group, range(group.order))
+    return SubgroupHandle._known(group, tuple(group.elements()))
 
 
 def all_subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
@@ -607,7 +611,8 @@ def upper_central_from(
         )
         if nxt == prev.elements:
             return tuple(series)
-        series.append(SubgroupHandle(group, nxt))
+        # the preimage of the center of G/Z(i)
+        series.append(SubgroupHandle._known(group, nxt))
 
 
 def nilpotency_class(group: FiniteGroup) -> Optional[int]:

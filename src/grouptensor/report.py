@@ -179,5 +179,3 @@ def _joined(writer: Callable, report: VerificationReport) -> str:
 
 # to_json's text: every piece in one batch, joined once
 json_text = partial(_joined, partial(write_json, batch=sys.maxsize))
-csv_text = partial(_joined, write_csv)
-table_text = partial(_joined, write_table)

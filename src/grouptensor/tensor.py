@@ -61,6 +61,7 @@ from .groups import (
     quotient,
     series_class,
     subgroup_as_group,
+    trivial_subgroup,
     upper_central_from,
 )
 
@@ -79,8 +80,9 @@ class TensorSquareData(NamedTuple):
     trivial: tuple[tuple[bool, ...], ...]
     counters: Optional[tuple[int, int, int]] = None
 
-    def centralizer_size(self, x: int) -> int:
-        return sum(self.trivial[x])
+    def centralizer_sizes(self) -> list[int]:
+        """The tensor-centralizer size of every element, in element order."""
+        return [sum(row) for row in self.trivial]
 
 
 class Squares:
@@ -186,8 +188,13 @@ def _from_two_quotient(group: FiniteGroup) -> TensorSquareData:
     def act(x: int, letter: int) -> int:
         return mul(x, letters[letter])
 
-    copies = _walk(tree, 0, act, m)
-    trivial = tuple(tuple(mul(x, y) == mul(y, x) for y in copies) for x in _walk(tree, 0, act, 0))
+    copies, g_mul = _walk(tree, 0, act, m), group.mul
+    # x (x) y maps to [x, y], so only a pair that commutes in G can be
+    # trivial; each order is read, for _validate's symmetry check
+    trivial = tuple(
+        tuple(row[h] == g_mul[h][g] and mul(x, y) == mul(y, x) for h, y in enumerate(copies))
+        for g, (row, x) in enumerate(zip(g_mul, _walk(tree, 0, act, 0)))
+    )
     return TensorSquareData(nu.order // group.order**2, trivial)
 
 
@@ -203,27 +210,19 @@ def _walk(
 
 
 def _validate(group: FiniteGroup, data: TensorSquareData) -> None:
-    n = group.order
-    trivial = data.trivial
-    for x in range(n):
-        if not trivial[0][x] or not trivial[x][0]:
-            raise ConsistencyError("identity pairs must be trivial")
-    for x in range(n):
-        for y in range(x + 1, n):
-            if trivial[x][y] != trivial[y][x]:
+    trivial, mul = data.trivial, group.mul
+    if not all(trivial[0]) or not all(row[0] for row in trivial):
+        raise ConsistencyError("identity pairs must be trivial")
+    for x, row in enumerate(trivial):
+        for y, pair in enumerate(row):
+            # row y < x was read already, so an asymmetry is met as x < y
+            if pair != trivial[y][x]:
                 raise ConsistencyError(f"triviality matrix asymmetric at ({x}, {y})")
-    mul = group.mul
-    for x in range(n):
-        for y in range(n):
-            if trivial[x][y] and mul[x][y] != mul[y][x]:
-                raise ConsistencyError(
-                    f"trivial pair ({x}, {y}) does not commute in the group"
-                )
+            if pair and mul[x][y] != mul[y][x]:
+                raise ConsistencyError(f"trivial pair ({x}, {y}) does not commute in the group")
 
 
-def tensor_centralizer(
-    group: FiniteGroup, data: TensorSquareData, x: int
-) -> SubgroupHandle:
+def tensor_centralizer(group: FiniteGroup, data: TensorSquareData, x: int) -> SubgroupHandle:
     """Elements whose pair with ``x`` is trivial; always a subgroup."""
     elems = [a for a in group.elements() if data.trivial[a][x]]
     try:
@@ -253,9 +252,7 @@ def j2_order(group: FiniteGroup, data: TensorSquareData) -> int:
     return data.order // derived.order
 
 
-def tensor_upper_central(
-    group: FiniteGroup, data: TensorSquareData, n: int
-) -> SubgroupHandle:
+def tensor_upper_central(group: FiniteGroup, data: TensorSquareData, n: int) -> SubgroupHandle:
     """n-th term of the tensor upper central series (``_pullback_series``)."""
     if n < 1:
         raise ValueError("series index must be >= 1")
@@ -263,9 +260,7 @@ def tensor_upper_central(
     return series[n] if n < len(series) else series[-1]
 
 
-def _pullback_series(
-    group: FiniteGroup, data: TensorSquareData
-) -> tuple[SubgroupHandle, ...]:
+def _pullback_series(group: FiniteGroup, data: TensorSquareData) -> tuple[SubgroupHandle, ...]:
     """[Z0 = 1, Z1 = Z-tensor, Z2, ...] up to stabilization (cached on the group).
 
     For n >= 1, Z(n+1)-tensor is the preimage of Z_n(G / Z-tensor) under the
@@ -274,7 +269,7 @@ def _pullback_series(
     Z-tensor, gives the series.
     """
     return group.cached("tensor_ucs", lambda: upper_central_from(
-        group, [SubgroupHandle(group, (0,)), tensor_center(group, data)]
+        group, [trivial_subgroup(group), tensor_center(group, data)]
     ))
 
 

@@ -220,10 +220,16 @@ class EntryContext:
         normals = normal_subgroups(self.group)
         return [(h, nh) for h in all_subgroups(self.group) for nh in normals if nh <= h]
 
+    @cached_property
+    def sizes(self) -> list[int]:
+        """The tensor-centralizer size of every element, in element order."""
+        return self.tensor.centralizer_sizes()
+
     def dn(self, h: SubgroupHandle, n: int) -> Fraction:
-        return self._memo(
-            "dn", (h.elements, n), lambda: rel_n_tensor_degree(self.group, self.tensor, h, n)
-        )
+        """dn(H, G), from one commutator chain per subgroup, extended on demand."""
+        return self._memo("dn", (h.elements, n), lambda: rel_n_tensor_degree(
+            self.group, self.tensor, h, n, self._memo("chain", h.elements, list), self.sizes
+        ))
 
     def comm(self, h: SubgroupHandle) -> Fraction:
         return self._memo("comm", h.elements, lambda: rel_comm_degree(self.group, h))
@@ -252,8 +258,9 @@ class EntryContext:
     def image(self, h: SubgroupHandle, n: SubgroupHandle) -> tuple["EntryContext", SubgroupHandle]:
         """The context of G/N and the image of H in it, built once per pair."""
         qc, proj = self.quotient(n)
-        return qc, self._memo("image", (h.elements, n.elements), lambda: SubgroupHandle(
-            qc.group, {proj[x] for x in h.elements}
+        # the image of a subgroup under a projection is a subgroup
+        return qc, self._memo("image", (h.elements, n.elements), lambda: SubgroupHandle._known(
+            qc.group, tuple(sorted({proj[x] for x in h.elements}))
         ))
 
     def k_quotient(self, h: SubgroupHandle) -> "EntryContext":
@@ -261,10 +268,10 @@ class EntryContext:
         and shared, like every child, by name and table."""
 
         def make():
-            inter = sorted(set(h.elements) & self.ztensor._set)
             hgrp, embed = subgroup_as_group(h)
-            pos = {e: i for i, e in enumerate(embed)}
-            k, _ = quotient(hgrp, SubgroupHandle(hgrp, [pos[e] for e in inter]))
+            # H n Z-tensor, an intersection of subgroups, in H's indices
+            inter = tuple(i for i, e in enumerate(embed) if e in self.ztensor)
+            k, _ = quotient(hgrp, SubgroupHandle._known(hgrp, inter))
             return self.child(k)
 
         return self._memo("k_quotient", h.elements, make)
@@ -721,11 +728,10 @@ class VerificationReport(NamedTuple):
         return json_text(self)
 
     def render(self, fmt: str) -> str:
-        from .report import csv_text, table_text
-        renderers = {"json": VerificationReport.to_json, "csv": csv_text, "table": table_text}
-        if fmt not in renderers:
+        from .report import WRITERS, _joined
+        if fmt not in WRITERS:
             raise SpecError(f"unknown output format {fmt!r}")
-        return renderers[fmt](self)
+        return _joined(WRITERS[fmt], self)
 
 
 def summarize(checks: Sequence[TheoremCheck]) -> dict:

@@ -1,5 +1,6 @@
-"""Direct tuple enumeration of the n-fold relative tensor degree: the
-independent oracle the degree dynamic program is tested against."""
+"""Two oracles for the n-fold relative tensor degree, which the commutator
+chain of ``degrees.rel_n_tensor_degree`` is tested against: direct tuple
+enumeration, and the commutator distribution rebuilt from level 1 for each n."""
 
 from fractions import Fraction
 from itertools import product
@@ -10,6 +11,7 @@ from grouptensor import (
     SpecError,
     SubgroupHandle,
     TensorSquareData,
+    commutator,
     iterated_commutator,
 )
 
@@ -34,3 +36,33 @@ def rel_n_tensor_degree_naive(
             if row[g]:
                 hits += 1
     return Fraction(hits, work)
+
+
+def commutator_distribution(
+    group: FiniteGroup, h: SubgroupHandle, n: int
+) -> dict[int, int]:
+    """Counts of n-tuples from H by their left-normed commutator [x1, ..., xn].
+
+    Level 1 is the indicator of H; level k+1 sends mass c_k(v) to [v, x] for
+    every x in H.  Keys are in no particular order.
+    """
+    if n < 1:
+        raise SpecError(f"degree index n must be at least 1, got {n}")
+    counts = {v: 1 for v in h.elements}
+    for _ in range(n - 1):
+        nxt: dict[int, int] = {}
+        for v, mass in counts.items():
+            for x in h.elements:
+                w = commutator(group, v, x)
+                nxt[w] = nxt.get(w, 0) + mass
+        counts = nxt
+    return counts
+
+
+def rel_n_tensor_degree_distribution(
+    group: FiniteGroup, data: TensorSquareData, h: SubgroupHandle, n: int
+) -> Fraction:
+    """The degree read from ``commutator_distribution``, built from level 1."""
+    trivial = data.trivial
+    hits = sum(mass * sum(trivial[v]) for v, mass in commutator_distribution(group, h, n).items())
+    return Fraction(hits, h.order**n * group.order)

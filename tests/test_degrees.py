@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from grouptensor import (
     all_subgroups,
     comm_degree,
-    commutator_distribution,
     format_decimal,
     format_fraction,
     group_from_spec,
@@ -20,7 +19,13 @@ from grouptensor import (
 )
 from grouptensor.errors import LimitError
 from grouptensor.groups import full_subgroup, subgroup_generated
-from naive import rel_n_tensor_degree_naive
+from grouptensor.verify import Config, EntryContext
+from naive import (
+    NAIVE_TUPLE_LIMIT,
+    commutator_distribution,
+    rel_n_tensor_degree_distribution,
+    rel_n_tensor_degree_naive,
+)
 
 
 def test_format_helpers():
@@ -213,3 +218,33 @@ def test_degree_one_when_subgroup_tensor_central(groups, tensors):
             for h in all_subgroups(g):
                 if set(h.elements) <= set(zn.elements):
                     assert rel_n_tensor_degree(g, data, h, n) == 1
+
+
+@pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "A4", "S4"])
+def test_context_chain_matches_both_oracles(groups, tensors, spec):
+    # one chain per subgroup, read out of order and again: every value is
+    # the distribution's and the tuple count's, where that does not refuse
+    g, data = groups(spec), tensors(spec)
+    ctx = EntryContext(spec, g, Config())
+    reads = (5, 1, 3, 2, 5, 4)
+    for h in all_subgroups(g):
+        expected = {n: rel_n_tensor_degree_distribution(g, data, h, n) for n in set(reads)}
+        for n, value in expected.items():
+            try:
+                assert value == rel_n_tensor_degree_naive(g, data, h, n), (h.elements, n)
+            except LimitError:
+                assert h.order**n * g.order > NAIVE_TUPLE_LIMIT
+        assert [ctx.dn(h, n) for n in reads] == [expected[n] for n in reads], h.elements
+        assert len(ctx._memos["chain"][h.elements]) == 5
+
+
+def test_context_chain_grows_only_to_the_largest_n(groups):
+    g = groups("S3")
+    ctx = EntryContext("S3", g, Config())
+    full = full_subgroup(g)
+    chain_len = lambda: len(ctx._memos["chain"][full.elements])
+    ctx.dn(full, 2)
+    ctx.dn(full, 1)
+    assert chain_len() == 2
+    assert ctx.dn(full, 4) == Fraction(15, 16)
+    assert chain_len() == 4

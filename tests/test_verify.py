@@ -344,14 +344,15 @@ def test_report_above_order_32_is_pinned(tmp_path, spec, checks, failures, pinne
 def test_order_64_two_group_report_is_pinned(tmp_path, spec, summary, failures, pinned):
     # a few seconds each, with no skips: the 2-group quotients, 2^{1+4}_+
     # among them, square under the default coset cap; E2^6, the largest
-    # legal report (about 280 MB of JSON), takes 15-30 s, and its whole
-    # to_json text lifts the peak to about 500 MB
+    # legal report (about 280 MB of JSON), takes 15-30 s, and is hashed a
+    # batch at a time, as verify writes it, not as one to_json text
     report = single_spec_report(tmp_path, spec, 64)
     passed, failed = summary
     assert report.summary == {"pass": passed, "fail": failed, "skipped": 0, "flagged": 0}
     assert Counter(c.id for c in report.checks if c.holds is False) == failures
-    digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
-    assert digest == pinned
+    digest = hashlib.sha256()
+    write_json(report, lambda text: digest.update(text.encode("utf-8")))
+    assert digest.hexdigest() == pinned
 
 
 @pytest.mark.parametrize(
