@@ -23,7 +23,6 @@ from .groups import (
     SubgroupHandle,
     all_subgroups,
     center,
-    centralizer,
     commutator,
     commutator_subgroup,
     conjugate,
@@ -33,7 +32,6 @@ from .groups import (
     direct_factors,
     direct_product,
     elementary_abelian,
-    iterated_commutator,
     nilpotency_class,
     normal_subgroups,
     quaternion,

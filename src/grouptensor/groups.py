@@ -397,16 +397,6 @@ def commutator(group: FiniteGroup, x: int, y: int) -> int:
     return m[m[m[x][y]][group.inv[x]]][group.inv[y]]
 
 
-def iterated_commutator(group: FiniteGroup, xs: Sequence[int]) -> int:
-    """Left-normed [x1, ..., xk]; a single element is returned unchanged."""
-    if not xs:
-        raise ValueError("iterated commutator needs at least one element")
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = commutator(group, acc, x)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Subgroup machinery
 # ---------------------------------------------------------------------------
@@ -517,13 +507,6 @@ def direct_factors(group: FiniteGroup) -> Optional[tuple[SubgroupHandle, Subgrou
         ((n, m) for n in normals[1:-1] for m in normals
          if n.order * m.order == group.order and len(n._set & m._set) == 1),
         None,
-    )
-
-
-def centralizer(group: FiniteGroup, x: int) -> SubgroupHandle:
-    mul = group.mul
-    return SubgroupHandle(
-        group, (a for a in group.elements() if mul[a][x] == mul[x][a])
     )
 
 

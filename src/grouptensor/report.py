@@ -6,10 +6,12 @@ renders no report does not compile it.  The JSON text is the bytes of
 dicts (tier-1 checks them), written straight from the records: with any
 indent, the standard encoder takes its pure-Python path, one small string per
 token.  The text is a flat list of pieces, one per field: its lead
-(``"    {\\n"`` or ``",\\n"``), key and value text, each distinct piece made
-once per render.  ``json_text`` joins all the pieces once; ``write_json`` hands
-a ``write`` callable one join of at most ``BATCH`` pieces at a time, and CSV
-and table text go to it a line at a time: ``verify`` never holds all the text.
+(``"    {\\n"`` or ``",\\n"``), key and value text.  A record's pieces come in
+two runs, where it is and what it found, and each distinct piece and run is
+made once per render.  ``json_text`` joins all the pieces once; ``write_json``
+hands a ``write`` callable one join of at most ``BATCH`` pieces at a time,
+and CSV and table text go to it a line at a time: ``verify`` never holds all
+the text.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ _COLUMNS = (
 _OPTIONAL = frozenset({"subgroup", "normal", "n", "variant", "skipped", "note", "witness"})
 # every record has an id, its first field
 _LEADS = {key: ("    {\n" if key == "id" else ",\n") + f'      "{key}": ' for key in _COLUMNS}
-# a witness, the last field, is a dict: unhashable, so not a memo key
-_HASHED = _COLUMNS[:-1]
+# the runs of a record's pieces, where it is and what it found; a witness,
+# the last field, is a dict: unhashable, so in neither
+_PLACE, _FOUND = _COLUMNS[:4], _COLUMNS[4:-1]
 # the close of a record that another follows
 _NEXT = "\n    },\n"
 
@@ -60,6 +63,15 @@ def _piece(key: str, cls: type, value) -> str:
     """A field's JSON piece, memoized per render by ``cls``, the value's exact
     class, so that True and 1 never share a piece."""
     return _LEADS[key] + _nested_json(value)
+
+
+def _pieces(piece: Callable, keys: tuple, values: tuple) -> tuple:
+    """The pieces of the fields ``keys`` that are present among ``values``."""
+    return tuple(
+        piece(key, item.__class__, item)
+        for key, item in zip(keys, values)
+        if item is not None or key not in _OPTIONAL
+    )
 
 
 class _ReportText:
@@ -98,17 +110,32 @@ def write_json(report: VerificationReport, write: Write, batch: Optional[int] = 
     of at most ``batch`` pieces (``BATCH`` when not given)."""
     batch = batch or BATCH
     text, piece = _ReportText(), cache(_piece)
+    # a place is shared by a record's every n; a finding is keyed by the
+    # ratios of its sides and the classes of the fields that may hold True or 1
+    places: dict = {}
+    findings: dict = {}
     pieces = [
         '{\n  "version": ' + _nested_json(report.version, 1)
         + ',\n  "config": ' + _nested_json(report.config, 1)
         + ',\n  "checks": ' + ("[\n" if report.checks else "[]")
     ]
     for check in report.checks:
-        pieces += [
-            piece(key, item.__class__, item)
-            for key, item in zip(_HASHED, text.row(check))
-            if item is not None or key not in _OPTIONAL
-        ]
+        place = check[:4]
+        run = places.get(place)
+        if run is None:
+            run = places[place] = _pieces(piece, _PLACE, place)
+        pieces += run
+        n, lhs, rhs, holds, skipped = check.n, check.lhs, check.rhs, check.holds, check.skipped
+        found = (
+            n, n.__class__, check.variant,
+            None if lhs is None else lhs.as_integer_ratio(),
+            None if rhs is None else rhs.as_integer_ratio(),
+            check.relation, holds, holds.__class__, skipped, skipped.__class__, check.note,
+        )
+        run = findings.get(found)
+        if run is None:
+            run = findings[found] = _pieces(piece, _FOUND, text.row(check)[4:])
+        pieces += run
         if check.witness is not None:
             pieces.append(_LEADS["witness"] + _nested_json(check.witness))
         pieces.append(_NEXT)

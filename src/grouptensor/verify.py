@@ -6,19 +6,19 @@ corpus entry.  Most checks share one of four domains (once per group, per
 degree index n, per subgroup H and n, per pair N <= H with N normal in G,
 optionally with n) and keep the members their hypotheses admit.  An instance
 holds the live ``SubgroupHandle``s of its subgroups; the record stores their
-element tuples.  One rule covers a tensor square that overflows its coset
-limit: every check that reads it generates no instances and yields one
-skipped record, made by ``_overflow``, in the suite and in ``check_theorem``
-alike.  The quotients a check reads (G/N, and K = H/(H n Z-tensor)) get
-child contexts, one per name and multiplication table, shared by every
-caller: all a context computes depends on its table alone, and the name,
-which an overflow note reads, is the one each caller would have given it.
+element tuples.  A check that reads an overflowing tensor square yields one
+skipped record (``_overflow``), in the suite and in ``check_theorem`` alike.
+
+Each record costs little beyond what its group shares.  A verdict is decided
+in integers, by cross-multiplying the two sides.  Values that many records
+read are made once: degrees, lem-2.1's centralizer indices per subgroup,
+thm-2.2's bound per index and n, and thm-2.3's per quotient K and n.
 Checks are evaluations, not axioms: a violated statement is reported with a
-complete witness instead of aborting, while structural inconsistencies (a
-tensor centralizer, which ``tensor.tensor_centralizer`` builds for lem-2.1,
-failing to be a subgroup, say) raise hard errors.  Reports are
-deterministic: identical inputs serialize to identical bytes, regardless of
-worker count.
+complete witness instead of aborting, and only a record that does not hold
+builds its witness.  Structural inconsistencies (a tensor centralizer, which
+``tensor.tensor_centralizer`` builds for lem-2.1, failing to be a subgroup,
+say) raise hard errors.  Reports are deterministic: identical inputs
+serialize to identical bytes, regardless of worker count.
 """
 
 from __future__ import annotations
@@ -235,10 +235,12 @@ class EntryContext:
         return self._memo("comm", h.elements, lambda: rel_comm_degree(self.group, h))
 
     def d_inner(self, h: SubgroupHandle) -> Fraction:
-        """Commuting probability inside a subgroup, computed in the parent table."""
-        mul = self.group.mul
-        hits = sum(1 for a in h.elements for b in h.elements if mul[a][b] == mul[b][a])
-        return Fraction(hits, h.order * h.order)
+        """Commuting probability inside a subgroup, computed in the parent
+        table once per subgroup."""
+        mul, elems = self.group.mul, h.elements
+        return self._memo("d_inner", elems, lambda: Fraction(
+            sum(1 for a in elems for b in elems if mul[a][b] == mul[b][a]), h.order * h.order
+        ))
 
     def child(self, group: FiniteGroup) -> "EntryContext":
         """The context of a group built from this one, one per name and table."""
@@ -282,10 +284,21 @@ class EntryContext:
 # their instances from a shared domain (once, per n, per subgroup and n, per
 # pair N <= H with N normal) and keep those a filter admits; an instance
 # holds the live handles of its ``subgroup`` and ``normal``.  An evaluator
-# returns only what varies: ``lhs``, ``rhs`` and, where they apply,
-# ``relation`` (default "le"), a computed ``variant``, ``witness`` and
-# ``note``; ``_evaluate`` builds the record.
+# returns a ``Finding``, only what varies; ``_evaluate`` builds the record.
 # ---------------------------------------------------------------------------
+
+
+class Finding(NamedTuple):
+    """The sides an evaluator finds, ``witness``, a callable that builds the
+    witness and is called only for a record that does not hold, and, where
+    they apply, the relation, a computed variant and a note."""
+
+    lhs: Optional[Fraction]
+    rhs: Fraction
+    witness: Optional[Callable[[], dict]] = None
+    relation: str = "le"
+    variant: Optional[str] = None
+    note: Optional[str] = None
 
 
 def _once(ctx: EntryContext) -> list[dict]:
@@ -315,24 +328,19 @@ def _per_pair(ctx: EntryContext, with_n: bool = False) -> list[dict]:
     return [{**pair, "n": n} for pair in pairs for n in ctx.config.n_values]
 
 
-def _eval_thm_1_1(ctx: EntryContext, inst: dict) -> dict:
+def _eval_thm_1_1(ctx: EntryContext, inst: dict) -> Finding:
     h, n = inst["subgroup"], inst["normal"]
     lhs = ctx.comm(h)
     qc, hq = ctx.image(h, n)
     rhs = qc.comm(hq) * ctx.d_inner(n)
     hg = ctx._memo("hg", h.elements, lambda: commutator_subgroup(ctx.group, h, ctx.full))
     equality_case = len(n._set & hg._set) == 1
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "relation": "eq" if equality_case else "le",
-        "variant": "equality" if equality_case else "inequality",
-        "witness": {
-            "lhs": format_fraction(lhs),
-            "rhs": format_fraction(rhs),
-            "equality_case": equality_case,
-        },
-    }
+    relation, variant = ("eq", "equality") if equality_case else ("le", "inequality")
+    return Finding(lhs, rhs, lambda: {
+        "lhs": format_fraction(lhs),
+        "rhs": format_fraction(rhs),
+        "equality_case": equality_case,
+    }, relation, variant)
 
 
 def _gen_thm_1_2(ctx: EntryContext) -> list[dict]:
@@ -341,7 +349,7 @@ def _gen_thm_1_2(ctx: EntryContext) -> list[dict]:
     return [{"variant": "lower"}, {"variant": "upper"}]
 
 
-def _eval_thm_1_2(ctx: EntryContext, inst: dict) -> dict:
+def _eval_thm_1_2(ctx: EntryContext, inst: dict) -> Finding:
     group = ctx.group
     p = smallest_prime_divisor(group.order)
     assert p is not None
@@ -356,28 +364,20 @@ def _eval_thm_1_2(ctx: EntryContext, inst: dict) -> dict:
     else:
         lhs = dt
         rhs = d - Fraction((p - 1) * (z_order - zt_order), p * group.order)
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "witness": {
-            "tensor_degree": format_fraction(dt),
-            "comm_degree": format_fraction(d),
-            "j2_order": j2,
-            "center_order": z_order,
-            "tensor_center_order": zt_order,
-            "smallest_prime": p,
-        },
-    }
+    return Finding(lhs, rhs, lambda: {
+        "tensor_degree": format_fraction(dt),
+        "comm_degree": format_fraction(d),
+        "j2_order": j2,
+        "center_order": z_order,
+        "tensor_center_order": zt_order,
+        "smallest_prime": p,
+    })
 
 
-def _eval_thm_1_3(ctx: EntryContext, inst: dict) -> dict:
+def _eval_thm_1_3(ctx: EntryContext, inst: dict) -> Finding:
     p = smallest_prime_divisor(ctx.group.order)
     assert p is not None
-    return {
-        "lhs": ctx.dn(ctx.full, 1),
-        "rhs": Fraction(1, p),
-        "witness": {"smallest_prime": p},
-    }
+    return Finding(ctx.dn(ctx.full, 1), Fraction(1, p), lambda: {"smallest_prime": p})
 
 
 def _gen_lem_2_1(ctx: EntryContext) -> list[dict]:
@@ -389,103 +389,79 @@ def _gen_lem_2_1(ctx: EntryContext) -> list[dict]:
     return out
 
 
-def _eval_lem_2_1(ctx: EntryContext, inst: dict) -> dict:
-    group, h = ctx.group, inst["subgroup"]
-    # [H : C n H] / [G : C] for the tensor centralizer C of each element
-    ratios = [
-        Fraction(h.order * c.order, len(h._set & c._set) * group.order) for c in ctx.centralizers
-    ]
-    one = Fraction(1)
+def _eval_lem_2_1(ctx: EntryContext, inst: dict) -> Finding:
+    order, h = ctx.group.order, inst["subgroup"]
+    # the ratio [H : C n H] / [G : C] for the tensor centralizer C of element
+    # x is |H| [C : C n H] / |G|: the worst x, the first with the largest
+    # ratio or the largest distance from 1, is found in integers
+    index = ctx._memo("lem-2.1", h.elements, lambda: [
+        c.order // len(h._set & c._set) for c in ctx.centralizers
+    ])
     if inst["variant"] == "index-bound":
-        worst = max(range(len(ratios)), key=lambda x: (ratios[x], -x))
-        relation = "le"
+        worst, relation = index.index(max(index)), "le"
     else:
-        worst = max(range(len(ratios)), key=lambda x: (abs(ratios[x] - one), -x))
-        relation = "eq"
-    return {
-        "lhs": ratios[worst],
-        "rhs": one,
-        "relation": relation,
-        "witness": {"x": worst, "ratio": format_fraction(ratios[worst])},
-    }
+        distance = [abs(h.order * i - order) for i in index]
+        worst, relation = distance.index(max(distance)), "eq"
+    ratio = Fraction(h.order * index[worst], order)
+    return Finding(ratio, Fraction(1), lambda: {"x": worst, "ratio": format_fraction(ratio)},
+                   relation)
 
 
-def _eval_thm_2_2(ctx: EntryContext, inst: dict) -> dict:
+def _eval_thm_2_2(ctx: EntryContext, inst: dict) -> Finding:
     h, n = inst["subgroup"], inst["n"]
-    index = Fraction(ctx.group.order, h.order)
+    index = ctx.group.order // h.order
     dn_full = ctx.dn(ctx.full, n)
-    return {
-        "lhs": ctx.dn(h, n),
-        "rhs": index ** (n + 1) * dn_full,
-        "witness": {
-            "index": format_fraction(index),
-            "dn_full": format_fraction(dn_full),
-        },
-    }
+    rhs = ctx._memo("thm-2.2", (index, n), lambda: index ** (n + 1) * dn_full)
+    return Finding(ctx.dn(h, n), rhs, lambda: {
+        "index": format_fraction(Fraction(index)),
+        "dn_full": format_fraction(dn_full),
+    })
 
 
-def _eval_thm_2_3(ctx: EntryContext, inst: dict) -> dict:
+def _eval_thm_2_3(ctx: EntryContext, inst: dict) -> Finding:
     h, n = inst["subgroup"], inst["n"]
     lhs = ctx.dn(h, n + 1)
     kc = ctx.k_quotient(h)
     inner = kc.dn(kc.full, n)
-    return {
-        "lhs": lhs,
-        "rhs": Fraction(1, 2) * (1 + inner),
-        "witness": {
-            "k_order": kc.group.order,
-            "k_degree": format_fraction(inner),
-            "lhs_degree_index": n + 1,
-        },
-    }
+    return Finding(lhs, kc._memo("thm-2.3", n, lambda: (1 + inner) / 2), lambda: {
+        "k_order": kc.group.order,
+        "k_degree": format_fraction(inner),
+        "lhs_degree_index": n + 1,
+    })
 
 
-def _eval_thm_2_5(ctx: EntryContext, inst: dict) -> dict:
+def _eval_thm_2_5(ctx: EntryContext, inst: dict) -> Finding:
     n = inst["n"]
     lhs = ctx.dn(ctx.full, n + 1)
     zn = tensor_upper_central(ctx.group, ctx.tensor, n)
     qc, _ = ctx.quotient(zn)
     inner = qc.dn(qc.full, 1)
-    return {
-        "lhs": lhs,
-        "rhs": Fraction(2**n - 1, 2**n) + inner / 2**n,
-        "witness": {
-            "zn_order": zn.order,
-            "quotient_tensor_degree": format_fraction(inner),
-            "lhs_degree_index": n + 1,
-        },
-    }
+    return Finding(lhs, Fraction(2**n - 1, 2**n) + inner / 2**n, lambda: {
+        "zn_order": zn.order,
+        "quotient_tensor_degree": format_fraction(inner),
+        "lhs_degree_index": n + 1,
+    })
 
 
-def _eval_thm_2_6(ctx: EntryContext, inst: dict) -> dict:
+def _eval_thm_2_6(ctx: EntryContext, inst: dict) -> Finding:
     n = inst["n"]
-    return {
-        "lhs": ctx.dn(ctx.full, n),
-        "rhs": Fraction(2 ** (n + 2) - 3, 2 ** (n + 2)),
-        "witness": {"tensor_class": ctx.tclass},
-    }
+    return Finding(ctx.dn(ctx.full, n), Fraction(2 ** (n + 2) - 3, 2 ** (n + 2)),
+                   lambda: {"tensor_class": ctx.tclass})
 
 
-def _eval_lem_2_7(ctx: EntryContext, inst: dict) -> dict:
+def _eval_lem_2_7(ctx: EntryContext, inst: dict) -> Finding:
     nc = nilpotency_class(ctx.group)
-    return {
-        # a group that is not nilpotent has no class: the lhs is None
-        "lhs": Fraction(nc) if nc is not None else None,
-        "rhs": Fraction(inst["n"]),
-        "witness": {"tensor_class": ctx.tclass, "nilpotency_class": nc},
-    }
+    # a group that is not nilpotent has no class: the lhs is None
+    return Finding(Fraction(nc) if nc is not None else None, Fraction(inst["n"]),
+                   lambda: {"tensor_class": ctx.tclass, "nilpotency_class": nc})
 
 
-def _eval_thm_2_8(ctx: EntryContext, inst: dict) -> dict:
+def _eval_thm_2_8(ctx: EntryContext, inst: dict) -> Finding:
     n = inst["n"]
-    return {
-        "lhs": ctx.dn(ctx.full, n),
-        "rhs": Fraction(2**n - 1, 2**n),
-        "witness": {"center_order": 1},
-    }
+    return Finding(ctx.dn(ctx.full, n), Fraction(2**n - 1, 2**n), lambda: {"center_order": 1})
 
 
-def _eval_thm_3cases(ctx: EntryContext, inst: dict) -> dict:
+def _eval_thm_3cases(ctx: EntryContext, inst: dict) -> Finding:
     h, n = inst["subgroup"], inst["n"]
     lhs = ctx.dn(h, n)
     zn = tensor_upper_central(ctx.group, ctx.tensor, n)
@@ -503,28 +479,18 @@ def _eval_thm_3cases(ctx: EntryContext, inst: dict) -> dict:
         else:
             variant = "case-iii"
             rhs, relation = Fraction(2 ** (n + 2) - 3, 2 ** (n + 2)), "le"
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "relation": relation,
-        "variant": variant,
-        "witness": {"case": variant, **witness_extra},
-    }
+    return Finding(lhs, rhs, lambda: {"case": variant, **witness_extra}, relation, variant)
 
 
-def _eval_thm_quot(ctx: EntryContext, inst: dict) -> dict:
+def _eval_thm_quot(ctx: EntryContext, inst: dict) -> Finding:
     h, n = inst["subgroup"], inst["n"]
     qc, hq = ctx.image(h, inst["normal"])
-    return {
-        "lhs": ctx.dn(h, n),
-        "rhs": qc.dn(hq, n),
-        "witness": {"quotient_order": qc.group.order},
-    }
+    return Finding(ctx.dn(h, n), qc.dn(hq, n), lambda: {"quotient_order": qc.group.order})
 
 
-def _eval_sanity(rhs: Fraction, ctx: EntryContext, inst: dict) -> dict:
+def _eval_sanity(rhs: Fraction, ctx: EntryContext, inst: dict) -> Finding:
     """The commuting probability of G against a sanity bound."""
-    return {"lhs": ctx.comm(ctx.full), "rhs": rhs}
+    return Finding(ctx.comm(ctx.full), rhs)
 
 
 def _gen_ex_3_1(ctx: EntryContext) -> list[dict]:
@@ -535,11 +501,11 @@ def _gen_ex_3_1(ctx: EntryContext) -> list[dict]:
     return out
 
 
-def _eval_ex_3_1(ctx: EntryContext, inst: dict) -> dict:
+def _eval_ex_3_1(ctx: EntryContext, inst: dict) -> Finding:
     if inst["variant"] == "tensor-center-trivial":
-        return {"lhs": Fraction(ctx.ztensor.order), "rhs": Fraction(1), "relation": "eq"}
+        return Finding(Fraction(ctx.ztensor.order), Fraction(1), relation="eq")
     n = inst["n"]
-    return {"lhs": ctx.dn(ctx.full, n), "rhs": Fraction(2**n - 1, 2**n)}
+    return Finding(ctx.dn(ctx.full, n), Fraction(2**n - 1, 2**n))
 
 
 def _gen_ex_3_2(ctx: EntryContext) -> list[dict]:
@@ -548,8 +514,8 @@ def _gen_ex_3_2(ctx: EntryContext) -> list[dict]:
     return [{"subgroup": subgroup_generated(ctx.group, [ctx.group.power(1, 2)]), "n": 2}]
 
 
-def _eval_ex_3_2(ctx: EntryContext, inst: dict) -> dict:
-    return {"lhs": ctx.dn(inst["subgroup"], inst["n"]), "rhs": Fraction(1), "relation": "eq"}
+def _eval_ex_3_2(ctx: EntryContext, inst: dict) -> Finding:
+    return Finding(ctx.dn(inst["subgroup"], inst["n"]), Fraction(1), relation="eq")
 
 
 EX_3_3_REFERENCE = Fraction(192, 2048)
@@ -561,24 +527,18 @@ def _gen_ex_3_3(ctx: EntryContext) -> list[dict]:
     return [{"subgroup": subgroup_from_words(ctx.group, "a^2,a*b"), "n": 4}]
 
 
-def _eval_ex_3_3(ctx: EntryContext, inst: dict) -> dict:
+def _eval_ex_3_3(ctx: EntryContext, inst: dict) -> Finding:
     lhs = ctx.dn(inst["subgroup"], inst["n"])
-    return {
-        "lhs": lhs,
-        "rhs": EX_3_3_REFERENCE,
-        "relation": "eq",
-        "note": DISCREPANCY_NOTE,
-        "witness": {
-            "computed": format_fraction(lhs),
-            "reference": "192/2048",
-            "explanation": (
-                "the subgroup <a^2, a*b> is abelian, so every length-4 "
-                "iterated commutator is the identity and the identity pairs "
-                "trivially with every element; the definition forces the "
-                "value 1"
-            ),
-        },
-    }
+    return Finding(lhs, EX_3_3_REFERENCE, relation="eq", note=DISCREPANCY_NOTE, witness=lambda: {
+        "computed": format_fraction(lhs),
+        "reference": "192/2048",
+        "explanation": (
+            "the subgroup <a^2, a*b> is abelian, so every length-4 "
+            "iterated commutator is the identity and the identity pairs "
+            "trivially with every element; the definition forces the "
+            "value 1"
+        ),
+    })
 
 
 class Check(NamedTuple):
@@ -587,7 +547,7 @@ class Check(NamedTuple):
     tensor square (those that do not survive its overflow)."""
 
     generate: Callable[[EntryContext], list[dict]]
-    evaluate: Callable[[EntryContext, dict], dict]
+    evaluate: Callable[[EntryContext, dict], Finding]
     needs_tensor: bool = True
     keep: Callable[[EntryContext, dict], bool] = lambda ctx, inst: True
 
@@ -647,23 +607,32 @@ def _where(inst: dict) -> tuple:
     )
 
 
+def _holds(lhs: Fraction, rhs: Fraction, relation: str) -> bool:
+    """``lhs <= rhs`` ("le") or ``lhs == rhs`` ("eq"), decided in integers:
+    a Fraction compares in Python code, and both denominators are positive."""
+    a, b = lhs.as_integer_ratio()
+    c, d = rhs.as_integer_ratio()
+    return a * d <= c * b if relation == "le" else a * d == c * b
+
+
 def _evaluate(ctx: EntryContext, check_id: str, inst: dict) -> TheoremCheck:
-    """The record of one instance: evaluated, or skipped when a limit is hit."""
+    """The record of one instance: evaluated, or skipped when a limit is hit;
+    the witness is built only for a record that does not hold."""
     where = _where(inst)
     try:
-        found = CHECKS[check_id].evaluate(ctx, inst)
+        lhs, rhs, witness, relation, variant, note = CHECKS[check_id].evaluate(ctx, inst)
+        holds = lhs is not None and _holds(lhs, rhs, relation)
+        if holds:
+            note = witness = None
+        elif witness is not None:
+            witness = witness()
     except LimitError as exc:
         note = f"exceeded-limit: {exc}"
         return TheoremCheck(check_id, ctx.spec, *where, skipped=True, note=note)
-    lhs, rhs = found["lhs"], found["rhs"]
-    relation = found.get("relation", "le")
-    holds = lhs is not None and (lhs <= rhs if relation == "le" else lhs == rhs)
     # positional, in field order
     return TheoremCheck(
-        check_id, ctx.spec, *where, found.get("variant", inst.get("variant")),
-        lhs, rhs, relation, holds, False,
-        None if holds else found.get("note"),
-        None if holds else found.get("witness"),
+        check_id, ctx.spec, *where, variant or inst.get("variant"),
+        lhs, rhs, relation, holds, False, note, witness,
     )
 
 

@@ -1,9 +1,12 @@
 """Two oracles for the n-fold relative tensor degree, which the commutator
 chain of ``degrees.rel_n_tensor_degree`` is tested against: direct tuple
-enumeration, and the commutator distribution rebuilt from level 1 for each n."""
+enumeration, and the commutator distribution rebuilt from level 1 for each n.
+Also the element-wise group helpers the oracles and tests read, which the
+package itself does not need: the iterated commutator and the centralizer."""
 
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
 from grouptensor import (
     FiniteGroup,
@@ -12,10 +15,26 @@ from grouptensor import (
     SubgroupHandle,
     TensorSquareData,
     commutator,
-    iterated_commutator,
 )
 
 NAIVE_TUPLE_LIMIT = 10**7
+
+
+def iterated_commutator(group: FiniteGroup, xs: Sequence[int]) -> int:
+    """Left-normed [x1, ..., xk]; a single element is returned unchanged."""
+    if not xs:
+        raise ValueError("iterated commutator needs at least one element")
+    acc = xs[0]
+    for x in xs[1:]:
+        acc = commutator(group, acc, x)
+    return acc
+
+
+def centralizer(group: FiniteGroup, x: int) -> SubgroupHandle:
+    mul = group.mul
+    return SubgroupHandle(
+        group, (a for a in group.elements() if mul[a][x] == mul[x][a])
+    )
 
 
 def rel_n_tensor_degree_naive(

@@ -8,7 +8,6 @@ from grouptensor import (
     SpecError,
     all_subgroups,
     center,
-    centralizer,
     commutator,
     commutator_subgroup,
     conjugate,
@@ -19,7 +18,6 @@ from grouptensor import (
     direct_product,
     elementary_abelian,
     group_from_spec,
-    iterated_commutator,
     nilpotency_class,
     normal_subgroups,
     quotient,
@@ -35,6 +33,7 @@ from grouptensor.groups import (
     relabeled,
     trivial_subgroup,
 )
+from naive import centralizer, iterated_commutator
 
 SMALL_SPECS = [
     "C1", "C2", "C3", "C4", "C6", "C8", "C12",

@@ -10,10 +10,8 @@ from grouptensor import (
     FiniteGroup,
     Squares,
     center,
-    centralizer,
     derived_subgroup,
     direct_product,
-    iterated_commutator,
     j2_order,
     nilpotency_class,
     normal_subgroups,
@@ -40,6 +38,7 @@ from grouptensor.groups import (
 )
 from grouptensor.specs import group_from_spec
 from grouptensor.verify import builtin_corpus
+from naive import centralizer, iterated_commutator
 
 CORPUS_12 = [
     "C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10", "C11", "C12",

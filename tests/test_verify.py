@@ -7,6 +7,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from grouptensor import (
     Config,
@@ -22,7 +24,7 @@ from grouptensor import (
     tensor_square,
 )
 from grouptensor import tensor as tensor_module
-from grouptensor.degrees import format_decimal
+from grouptensor.degrees import format_decimal, format_fraction
 from grouptensor.groups import FiniteGroup, all_subgroups, normal_subgroups
 from grouptensor.report import write_json
 from grouptensor.verify import (
@@ -31,6 +33,8 @@ from grouptensor.verify import (
     THEOREM_IDS,
     CorpusEntry,
     EntryContext,
+    _eval_lem_2_1,
+    _holds,
     corpus_from_file,
     evaluate_entry,
     normalize_check_ids,
@@ -457,6 +461,10 @@ HAND_BUILT = [
                  lhs=Fraction(1), rhs=Fraction(1), relation="eq", holds=True),
     TheoremCheck(id="thm-2.2", group="C2", subgroup=(0, 1), normal=(0,), n=True,
                  lhs=Fraction(1), rhs=Fraction(1), relation="eq", holds=1, skipped=True),
+    # the values of the record two above with True and 1 swapped: a run of
+    # pieces is shared by class as well as by value
+    TheoremCheck(id="thm-2.2", group="C2", subgroup=(0, 1), normal=(0,), n=True,
+                 lhs=Fraction(1), rhs=Fraction(1), relation="eq", holds=1),
 ]
 
 
@@ -602,3 +610,52 @@ def test_theorem_id_list_is_complete():
         "thm-2.5", "thm-2.6", "lem-2.7", "thm-2.8", "thm-3cases", "thm-quot",
         "sanity-erl", "sanity-lescot",
     }
+
+
+@given(st.fractions(), st.fractions(), st.booleans())
+def test_integer_verdict_matches_the_fraction_comparison(lhs, rhs, equal):
+    if equal:
+        # an equal value in a distinct object, as two evaluators would build it
+        rhs = Fraction(lhs.numerator, lhs.denominator)
+    assert _holds(lhs, rhs, "le") == (lhs <= rhs)
+    assert _holds(lhs, rhs, "eq") == (lhs == rhs)
+
+
+def test_every_suite_verdict_is_the_fraction_comparison():
+    report = run_suite(builtin_corpus(8), "all", Config(max_order=8))
+    evaluated = [check for check in report.checks if not check.skipped]
+    assert {check.relation for check in evaluated} == {"le", "eq"}
+    for check in evaluated:
+        if check.lhs is None:
+            assert check.holds is False, check
+        elif check.relation == "le":
+            assert check.holds == (check.lhs <= check.rhs), check
+        else:
+            assert check.holds == (check.lhs == check.rhs), check
+
+
+def _lem_2_1_by_ratios(ctx, h, variant):
+    """The worst x and its ratio [H : C n H] / [G : C], chosen over one
+    Fraction per element x, as lem-2.1 chose them before its integer index."""
+    group = ctx.group
+    ratios = [
+        Fraction(h.order * c.order, len(h._set & c._set) * group.order) for c in ctx.centralizers
+    ]
+    one = Fraction(1)
+    if variant == "index-bound":
+        worst = max(range(len(ratios)), key=lambda x: (ratios[x], -x))
+    else:
+        worst = max(range(len(ratios)), key=lambda x: (abs(ratios[x] - one), -x))
+    return worst, ratios[worst]
+
+
+@pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "A4", "S4"])
+def test_lem_2_1_integer_index_matches_the_ratio_oracle(spec):
+    ctx = EntryContext(spec, group_from_spec(spec), Config())
+    for h in all_subgroups(ctx.group):
+        # both variants on every subgroup, whether or not its hypothesis holds
+        for variant in ("index-bound", "product-equality"):
+            found = _eval_lem_2_1(ctx, {"subgroup": h, "variant": variant})
+            worst, ratio = _lem_2_1_by_ratios(ctx, h, variant)
+            assert found.witness() == {"x": worst, "ratio": format_fraction(ratio)}
+            assert type(found.lhs) is Fraction and found.lhs == ratio
