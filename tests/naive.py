@@ -2,7 +2,8 @@
 chain of ``degrees.rel_n_tensor_degree`` is tested against: direct tuple
 enumeration, and the commutator distribution rebuilt from level 1 for each n.
 Also the element-wise group helpers the oracles and tests read, which the
-package itself does not need: the iterated commutator and the centralizer."""
+package itself does not need: the iterated commutator, the centralizer and
+normality by conjugating with every element."""
 
 from fractions import Fraction
 from itertools import product
@@ -35,6 +36,12 @@ def centralizer(group: FiniteGroup, x: int) -> SubgroupHandle:
     return SubgroupHandle(
         group, (a for a in group.elements() if mul[a][x] == mul[x][a])
     )
+
+
+def is_normal(h: SubgroupHandle) -> bool:
+    """g N g^-1 is inside N for every g in G, not only for generators."""
+    g = h.parent
+    return all(g.mul[g.mul[x][n]][g.inv[x]] in h for x in g.elements() for n in h.elements)
 
 
 def rel_n_tensor_degree_naive(

@@ -28,12 +28,13 @@ from grouptensor import (
 from grouptensor import groups as groups_module
 from grouptensor.groups import (
     FiniteGroup,
+    SubgroupHandle,
     closure,
     full_subgroup,
     relabeled,
     trivial_subgroup,
 )
-from naive import centralizer, iterated_commutator
+from naive import centralizer, is_normal, iterated_commutator
 
 SMALL_SPECS = [
     "C1", "C2", "C3", "C4", "C6", "C8", "C12",
@@ -173,8 +174,10 @@ def _shuffled(group, seed):
 )
 def test_normal_subgroups_match_the_normal_filter(spec):
     for group in (group_from_spec(spec), _shuffled(group_from_spec(spec), 7)):
-        oracle = [h for h in all_subgroups(group) if h.is_normal()]
+        subgroups = all_subgroups(group)
+        oracle = [h for h in subgroups if is_normal(h)]
         assert normal_subgroups(group) == oracle, spec
+        assert [h for h in subgroups if h.is_normal()] == oracle, spec
 
 
 def test_normal_subgroups_above_order_32():
@@ -318,6 +321,28 @@ def test_quotient_requires_normal():
         quotient(s3, h)
 
 
+@pytest.mark.parametrize("spec", ["S3", "D8", "A4", "S4", "D12", "Q16", "C2xS3"])
+def test_quotient_refuses_a_subgroup_wrongly_called_normal(spec, monkeypatch):
+    group = group_from_spec(spec)
+    others = [h for h in all_subgroups(group) if not is_normal(h)]
+    assert others
+    # the projection check alone must refuse what the normality test lets through
+    monkeypatch.setattr(SubgroupHandle, "is_normal", lambda self: True)
+    for h in others:
+        with pytest.raises(SpecError):
+            quotient(group, h)
+
+
+def test_table_above_order_64_is_validated_and_quotiented():
+    group = FiniteGroup(direct_product(dihedral(8), dihedral(10), max_order=80).mul)
+    z = center(group)
+    assert group.order == 80 and z.order == 2
+    q, proj = quotient(group, z)
+    assert q.order == 40
+    assert all(proj[group.mul[a][b]] == q.mul[proj[a]][proj[b]]
+               for a in group.elements() for b in group.elements())
+
+
 def test_upper_central_series_and_class():
     d8 = dihedral(8)
     series = upper_central_series(d8)
@@ -338,11 +363,28 @@ def test_relabeled_preserves_structure():
     )
 
 
+# a Latin square with identity in which every element is its own inverse,
+# but (1 2) 2 = 3 2 = 4 and 1 (2 2) = 1 0 = 1
+_NON_ASSOCIATIVE_5 = [
+    [0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0],
+]
+
+
 def test_bad_tables_rejected():
     with pytest.raises(SpecError):
         FiniteGroup([[0, 1], [1, 1]])
     with pytest.raises(SpecError):
         FiniteGroup([[1, 0], [0, 1]])
+    with pytest.raises(SpecError, match="not associative"):
+        FiniteGroup(_NON_ASSOCIATIVE_5)
+    # its product with C13, of order 65, index a * 13 + b
+    times_c13 = [
+        [_NON_ASSOCIATIVE_5[a1][a2] * 13 + (b1 + b2) % 13 for a2 in range(5) for b2 in range(13)]
+        for a1 in range(5)
+        for b1 in range(13)
+    ]
+    with pytest.raises(SpecError, match="not associative"):
+        FiniteGroup(times_c13)
 
 
 @st.composite
