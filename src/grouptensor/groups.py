@@ -10,31 +10,26 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import random
-from itertools import permutations, product
+from itertools import permutations
 from math import lcm
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import SpecError
 
 # The default order bound for building groups from specs and direct products;
-# a caller may pass a larger one.  Quotient projections are checked to be
-# homomorphisms up to this order.
+# a caller may pass a larger one.
 HARD_MAX_ORDER = 64
 
 T = TypeVar("T")
-
-# Exhaustive associativity checking up to this order, random sampling beyond.
-_ASSOC_EXHAUSTIVE_LIMIT = 64
 
 
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     ``mul[i][j]`` is the index of the product of elements ``i`` and ``j``.
-    The table is validated on construction (Latin square, identity at 0,
-    two-sided inverses, associativity).  Structure, such as a direct-product
-    decomposition (``direct_factors``), is read from the table alone.
+    Construction validates it: a Latin square with identity 0 is a group
+    exactly when Light's test passes on its ``generators``.  Structure, such
+    as a direct-product decomposition, is read from the table alone.
     """
 
     __slots__ = ("order", "mul", "inv", "name", "generator_labels", "_cache")
@@ -52,10 +47,12 @@ class FiniteGroup:
         _validate_table(table, n)
         self.order = n
         self.mul = table
-        self.inv = _inverse_table(table)
         self.name = name
         self.generator_labels = dict(generator_labels) if generator_labels else {}
         self._cache: dict = {}
+        _check_associative(table, generators(self))
+        # in an associative Latin square with identity, right inverses are two-sided
+        self.inv = tuple(row.index(0) for row in table)
 
     # identity is pinned to index 0
     identity = 0
@@ -107,7 +104,7 @@ class FiniteGroup:
         g = cls.__new__(cls)
         g.order = len(table)
         g.mul = table
-        g.inv = inv if inv is not None else _inverse_table(table)
+        g.inv = inv if inv is not None else tuple(row.index(0) for row in table)
         g.name = name
         g.generator_labels = {}
         g._cache = {}
@@ -142,25 +139,16 @@ def _validate_table(table: tuple[tuple[int, ...], ...], n: int) -> None:
     for x in range(n):
         if table[0][x] != x or table[x][0] != x:
             raise SpecError("element 0 is not a two-sided identity")
-    if n <= _ASSOC_EXHAUSTIVE_LIMIT:
-        triples: Iterable[tuple[int, int, int]] = product(range(n), repeat=3)
-    else:
-        rng = random.Random(0xA55)
-        triples = (
-            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(10 * n * n)
-        )
-    for a, b, c in triples:
-        if table[a][table[b][c]] != table[table[a][b]][c]:
-            raise SpecError(f"multiplication is not associative at ({a}, {b}, {c})")
 
 
-def _inverse_table(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    inv = tuple(row.index(0) for row in table)  # each row is a permutation
-    for a, b in enumerate(inv):
-        if table[b][a] != 0:
-            raise SpecError(f"element {a} has no two-sided inverse")
-    return inv
+def _check_associative(table: tuple[tuple[int, ...], ...], gens: Iterable[int]) -> None:
+    """Light's test: (x s) y = x (s y) for all x, y and each s in ``gens``.
+    The s that pass are closed under products, (x ab) y = (x a)(b y) = x ((ab) y),
+    so if ``gens`` generate the table, it passes exactly when that is associative."""
+    for s in gens:
+        for x, row in enumerate(table):
+            if tuple(map(row.__getitem__, table[s])) != table[row[s]]:
+                raise SpecError(f"multiplication is not associative at ({x}, {s}, y) for some y")
 
 
 class SubgroupHandle:
@@ -212,10 +200,12 @@ class SubgroupHandle:
         return hash((id(self.parent), self.elements))
 
     def is_normal(self) -> bool:
+        """s N s^-1 <= N for each s in ``generators``: exactly when N is normal,
+        as then s N s^-1 = N = s^-1 N s, and products of generators are all of G."""
         g = self.parent
         return all(
-            g.mul[g.mul[x][h]][g.inv[x]] in self._set
-            for x in g.elements()
+            g.mul[g.mul[s][h]][g.inv[s]] in self._set
+            for s in generators(g)
             for h in self.elements
         )
 
@@ -420,6 +410,22 @@ def closure(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(elems))
 
 
+def generators(group: FiniteGroup) -> tuple[int, ...]:
+    """Each element, in index order, that the earlier ones do not generate
+    under ``closure``: a property that holds at 0 and is closed under products
+    holds on the whole table, a group's or not, exactly when it holds on these."""
+
+    def make():
+        gens, covered = [], {0}
+        for x in group.elements():
+            if x not in covered:
+                gens.append(x)
+                covered = set(closure(group, gens))
+        return tuple(gens)
+
+    return group.cached("generators", make)
+
+
 def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> SubgroupHandle:
     # a closed finite subset with the identity is a subgroup
     return SubgroupHandle._known(group, closure(group, gens))
@@ -541,6 +547,11 @@ def quotient(
     Cosets are indexed by their minimal element in ascending order, so the
     identity coset is index 0 and quotienting by the trivial subgroup returns
     an identical table.  Returns (quotient group, projection map).
+
+    proj is checked on ``generators`` S, proj(a s) = proj(a) proj(s) for each
+    a and s, with Light's test on Q and proj(S).  These hold exactly when proj
+    is a homomorphism: by induction on the length of b as a word in S,
+    proj(a b s) = proj(a) proj(b) proj(s) in the associative Q.
     """
     if not n.is_normal():
         raise ValueError(f"subgroup of order {n.order} is not normal in {group.name}")
@@ -556,15 +567,12 @@ def quotient(
         for m in members:
             coset_of[m] = idx
     proj = tuple(coset_of[g] for g in group.elements())
-    # the image of a group under a projection checked below is a group
     qmul = tuple(tuple(proj[mul[r1][r2]] for r2 in reps) for r1 in reps)
-    q = FiniteGroup._known(qmul, f"{group.name}/N{n.order}")
-    if group.order <= HARD_MAX_ORDER:
-        for a in group.elements():
-            for b in group.elements():
-                if proj[mul[a][b]] != q.mul[proj[a]][proj[b]]:
-                    raise SpecError("quotient projection is not a homomorphism")
-    return q, proj
+    gens = generators(group)
+    if any(proj[row[s]] != qmul[proj[a]][proj[s]] for a, row in enumerate(mul) for s in gens):
+        raise SpecError("quotient projection is not a homomorphism")
+    _check_associative(qmul, [proj[s] for s in gens])
+    return FiniteGroup._known(qmul, f"{group.name}/N{n.order}"), proj
 
 
 def subgroup_as_group(h: SubgroupHandle) -> tuple[FiniteGroup, tuple[int, ...]]:
