@@ -6,8 +6,11 @@ corpus entry.  Most checks share one of four domains (once per group, per
 degree index n, per subgroup H and n, per pair N <= H with N normal in G,
 optionally with n) and keep the members their hypotheses admit.  An instance
 holds the live ``SubgroupHandle``s of its subgroups; the record stores their
-element tuples.  A check that reads an overflowing tensor square yields one
-skipped record (``_overflow``), in the suite and in ``check_theorem`` alike.
+element tuples.  Every quotient is ``EntryContext.quotient`` of the entry's
+group, and each subgroup is projected once: into G/N for a pair, and into
+G/Z-tensor for K = H / (H n Z-tensor).  A check that reads an overflowing
+tensor square yields one skipped record (``_overflow``), in the suite and in
+``check_theorem`` alike.
 
 Each record costs little beyond what its group shares.  A verdict is decided
 in integers, by cross-multiplying the two sides.  Values that many records
@@ -215,10 +218,15 @@ class EntryContext:
         return full_subgroup(self.group)
 
     @cached_property
-    def pairs(self) -> list[tuple[SubgroupHandle, SubgroupHandle]]:
-        """Every subgroup H with every normal subgroup of G inside it."""
-        normals = normal_subgroups(self.group)
-        return [(h, nh) for h in all_subgroups(self.group) for nh in normals if nh <= h]
+    def pairs(self) -> list[dict]:
+        """Every subgroup H with every normal subgroup N of G inside it, built
+        per N with G/N's context ("quotient") and H's image there ("image")."""
+        subgroups, pairs = all_subgroups(self.group), []
+        for nh in normal_subgroups(self.group):
+            qc, proj = self.quotient(nh)
+            pairs += [{"subgroup": h, "normal": nh, "quotient": qc, "image": _image(qc, proj, h)}
+                      for h in subgroups if nh <= h]
+        return pairs
 
     @cached_property
     def sizes(self) -> list[int]:
@@ -248,8 +256,8 @@ class EntryContext:
                           lambda: EntryContext(group.name, group, self.config, self.squares))
 
     def quotient(self, n: SubgroupHandle) -> tuple["EntryContext", tuple[int, ...]]:
-        """The context of G/N and the projection onto it; G/N's tensor square
-        is enumerated only when read."""
+        """The context of G/N and the projection onto it, once per N for every
+        reader; G/N's tensor square is enumerated only when read."""
 
         def make():
             q, proj = quotient(self.group, n)
@@ -257,34 +265,29 @@ class EntryContext:
 
         return self._memo("quotient", n.elements, make)
 
-    def image(self, h: SubgroupHandle, n: SubgroupHandle) -> tuple["EntryContext", SubgroupHandle]:
-        """The context of G/N and the image of H in it, built once per pair."""
-        qc, proj = self.quotient(n)
-        # the image of a subgroup under a projection is a subgroup
-        return qc, self._memo("image", (h.elements, n.elements), lambda: SubgroupHandle._known(
-            qc.group, tuple(sorted({proj[x] for x in h.elements}))
-        ))
-
     def k_quotient(self, h: SubgroupHandle) -> "EntryContext":
-        """The context of K = H / (H n Z-tensor), taken as a standalone group
-        and shared, like every child, by name and table."""
+        """The context of K = H / (H n Z) = HZ / Z for the normal Z-tensor Z:
+        H's image in G/Z as a standalone group, shared by name and table."""
 
         def make():
-            hgrp, embed = subgroup_as_group(h)
-            # H n Z-tensor, an intersection of subgroups, in H's indices
-            inter = tuple(i for i, e in enumerate(embed) if e in self.ztensor)
-            k, _ = quotient(hgrp, SubgroupHandle._known(hgrp, inter))
-            return self.child(k)
+            qc, proj = self.quotient(self.ztensor)
+            return self.child(subgroup_as_group(_image(qc, proj, h))[0])
 
         return self._memo("k_quotient", h.elements, make)
+
+
+def _image(qc: EntryContext, proj: tuple[int, ...], h: SubgroupHandle) -> SubgroupHandle:
+    """H's image under ``proj`` in ``qc``'s group: a subgroup, so not checked again."""
+    return SubgroupHandle._known(qc.group, tuple(sorted({proj[x] for x in h.elements})))
 
 
 # ---------------------------------------------------------------------------
 # Checks.  A check is its instances and one evaluator.  Most checks take
 # their instances from a shared domain (once, per n, per subgroup and n, per
 # pair N <= H with N normal) and keep those a filter admits; an instance
-# holds the live handles of its ``subgroup`` and ``normal``.  An evaluator
-# returns a ``Finding``, only what varies; ``_evaluate`` builds the record.
+# holds the live handles of its ``subgroup`` and ``normal``, a pair also its
+# ``quotient`` and ``image``.  An evaluator returns a ``Finding``, only what
+# varies; ``_evaluate`` builds the record.
 # ---------------------------------------------------------------------------
 
 
@@ -319,20 +322,15 @@ def _per_subgroup_n(ctx: EntryContext, proper: bool = False) -> list[dict]:
     ]
 
 
-def _per_pair(ctx: EntryContext, with_n: bool = False) -> list[dict]:
-    """Every subgroup H with every normal subgroup of G inside it, and with
-    every n if asked."""
-    pairs = [{"subgroup": h, "normal": nh} for h, nh in ctx.pairs]
-    if not with_n:
-        return pairs
-    return [{**pair, "n": n} for pair in pairs for n in ctx.config.n_values]
+def _per_pair_n(ctx: EntryContext) -> list[dict]:
+    """Every pair of ``EntryContext.pairs`` with every n."""
+    return [{**pair, "n": n} for pair in ctx.pairs for n in ctx.config.n_values]
 
 
 def _eval_thm_1_1(ctx: EntryContext, inst: dict) -> Finding:
     h, n = inst["subgroup"], inst["normal"]
     lhs = ctx.comm(h)
-    qc, hq = ctx.image(h, n)
-    rhs = qc.comm(hq) * ctx.d_inner(n)
+    rhs = inst["quotient"].comm(inst["image"]) * ctx.d_inner(n)
     hg = ctx._memo("hg", h.elements, lambda: commutator_subgroup(ctx.group, h, ctx.full))
     equality_case = len(n._set & hg._set) == 1
     relation, variant = ("eq", "equality") if equality_case else ("le", "inequality")
@@ -483,9 +481,9 @@ def _eval_thm_3cases(ctx: EntryContext, inst: dict) -> Finding:
 
 
 def _eval_thm_quot(ctx: EntryContext, inst: dict) -> Finding:
-    h, n = inst["subgroup"], inst["n"]
-    qc, hq = ctx.image(h, inst["normal"])
-    return Finding(ctx.dn(h, n), qc.dn(hq, n), lambda: {"quotient_order": qc.group.order})
+    h, n, qc = inst["subgroup"], inst["n"], inst["quotient"]
+    rhs = qc.dn(inst["image"], n)
+    return Finding(ctx.dn(h, n), rhs, lambda: {"quotient_order": qc.group.order})
 
 
 def _eval_sanity(rhs: Fraction, ctx: EntryContext, inst: dict) -> Finding:
@@ -553,7 +551,7 @@ class Check(NamedTuple):
 
 
 CHECKS: dict[str, Check] = {
-    "thm-1.1": Check(_per_pair, _eval_thm_1_1, needs_tensor=False),
+    "thm-1.1": Check(lambda ctx: ctx.pairs, _eval_thm_1_1, needs_tensor=False),
     "thm-1.2": Check(_gen_thm_1_2, _eval_thm_1_2),
     "thm-1.3": Check(_once, _eval_thm_1_3, keep=lambda ctx, inst: (
         not ctx.group.is_abelian() and ctx.ztensor.order == 1)),
@@ -568,7 +566,7 @@ CHECKS: dict[str, Check] = {
     "thm-2.8": Check(_per_n, _eval_thm_2_8, keep=lambda ctx, inst: (
         ctx.group.order > 1 and center(ctx.group).order == 1)),
     "thm-3cases": Check(partial(_per_subgroup_n, proper=True), _eval_thm_3cases),
-    "thm-quot": Check(partial(_per_pair, with_n=True), _eval_thm_quot),
+    "thm-quot": Check(_per_pair_n, _eval_thm_quot),
     "sanity-erl": Check(_once, partial(_eval_sanity, Fraction(5, 8)), needs_tensor=False,
                         keep=lambda ctx, inst: not ctx.group.is_abelian()),
     "sanity-lescot": Check(_once, partial(_eval_sanity, Fraction(1, 2)), needs_tensor=False,
@@ -642,10 +640,10 @@ def check_theorem(
     """Evaluate a single check instance from scratch, in a session of its own.
 
     ``instance`` carries at least ``group`` (a spec string) plus whatever the
-    check consumes: ``subgroup`` and ``normal`` as element-index sequences,
-    ``n``, ``variant``.  It is looked up among the instances the suite
-    evaluates on that group; a computed variant (one the evaluator stamps on
-    the record rather than reading from the instance) is ignored when the
+    check consumes: ``subgroup`` and ``normal`` as element-index sequences
+    in any order, ``n``, ``variant``.  It is looked up among the instances
+    the suite evaluates on that group; a computed variant (one the evaluator
+    stamps on the record, not read from the instance) is ignored when the
     suite's instance carries none.  An instance whose hypotheses fail yields
     a skipped record, not a failure; so does one whose tensor square
     overflows, and that record keeps the caller's subgroup, normal and n.
@@ -654,12 +652,12 @@ def check_theorem(
         raise SpecError(f"unknown check id {check_id!r}")
     spec = instance["group"]
     ctx = EntryContext(spec, group_from_spec(spec), config or Config())
-    subgroup, normal, n = (instance.get(key) for key in ("subgroup", "normal", "n"))
-    where = (
-        None if subgroup is None else tuple(subgroup),
-        None if normal is None else tuple(normal),
-        n,
+    # element indices as a handle stores them: sorted, without duplicates
+    subgroup, normal = (
+        None if instance.get(key) is None else tuple(sorted(set(map(int, instance[key]))))
+        for key in ("subgroup", "normal")
     )
+    where = (subgroup, normal, instance.get("n"))
     overflow = _overflow(ctx, check_id)
     if overflow is not None:
         return overflow._replace(subgroup=where[0], normal=where[1], n=where[2])

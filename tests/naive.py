@@ -2,8 +2,9 @@
 chain of ``degrees.rel_n_tensor_degree`` is tested against: direct tuple
 enumeration, and the commutator distribution rebuilt from level 1 for each n.
 Also the element-wise group helpers the oracles and tests read, which the
-package itself does not need: the iterated commutator, the centralizer and
-normality by conjugating with every element."""
+package itself does not need: the iterated commutator, the centralizer,
+normality by conjugating with every element, and K = H / (H n Z) quotiented
+inside H."""
 
 from fractions import Fraction
 from itertools import product
@@ -16,7 +17,9 @@ from grouptensor import (
     SubgroupHandle,
     TensorSquareData,
     commutator,
+    quotient,
 )
+from grouptensor.groups import subgroup_as_group
 
 NAIVE_TUPLE_LIMIT = 10**7
 
@@ -42,6 +45,13 @@ def is_normal(h: SubgroupHandle) -> bool:
     """g N g^-1 is inside N for every g in G, not only for generators."""
     g = h.parent
     return all(g.mul[g.mul[x][n]][g.inv[x]] in h for x in g.elements() for n in h.elements)
+
+
+def k_quotient(h: SubgroupHandle, z: SubgroupHandle) -> FiniteGroup:
+    """H / (H n Z) for a normal subgroup Z of H's parent: H taken as a
+    standalone group, quotiented by the intersection in H's own indices."""
+    hgrp, embed = subgroup_as_group(h)
+    return quotient(hgrp, SubgroupHandle(hgrp, (i for i, e in enumerate(embed) if e in z)))[0]
 
 
 def rel_n_tensor_degree_naive(

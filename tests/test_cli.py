@@ -302,6 +302,26 @@ def test_verify_writes_the_pinned_report_in_batches(
         assert len(writes) > 1 and "".join(writes).encode("utf-8") == data
 
 
+ORDER_64_CORPUS = (
+    "S3xS3", "D64", "D40", "C2xD32", "A5", "Q8xC2xC4", "D48", "D8xD8", "E2^5", "S4",
+)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_order_64_corpus_report_is_pinned(capsys, tmp_path, jobs):
+    # 71,175 records, a few seconds; D64 and C2xD32 have no pin of their own
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n".join(ORDER_64_CORPUS) + "\n", encoding="utf-8")
+    out_path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "verify", "--corpus", str(corpus), "--max-order", "64",
+                         "--jobs", str(jobs), "--out", str(out_path))
+    assert code == 1
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "be7fb11f5ba7a7cb44d5bb65902966f7a70ea6de0889896b2e4027a03a7795af"
+    )
+
+
 @pytest.mark.slow
 def test_verify_writes_the_largest_report_in_bounded_memory(tmp_path):
     # E2^6 gives 515,262 records, about 270 MB of JSON; evaluation alone peaks

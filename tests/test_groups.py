@@ -317,7 +317,7 @@ def test_quotient_requires_normal():
     s3 = symmetric(3)
     reflection = next(x for x in s3.elements() if s3.element_order(x) == 2)
     h = subgroup_generated(s3, [reflection])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not normal"):
         quotient(s3, h)
 
 

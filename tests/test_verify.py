@@ -24,9 +24,11 @@ from grouptensor import (
     tensor_square,
 )
 from grouptensor import tensor as tensor_module
-from grouptensor.degrees import format_decimal, format_fraction
-from grouptensor.groups import FiniteGroup, all_subgroups, normal_subgroups
+from grouptensor import verify as verify_module
+from grouptensor.degrees import format_decimal, format_fraction, rel_n_tensor_degree
+from grouptensor.groups import FiniteGroup, all_subgroups, center, full_subgroup, normal_subgroups
 from grouptensor.report import write_json
+from grouptensor.tensor import Squares, tensor_class
 from grouptensor.verify import (
     ALL_CHECK_IDS,
     DISCREPANCY_NOTE,
@@ -40,6 +42,7 @@ from grouptensor.verify import (
     normalize_check_ids,
     summarize,
 )
+from naive import k_quotient
 
 
 def failures(report):
@@ -119,7 +122,45 @@ def test_quotients_with_one_table_share_one_context():
     assert len(quotients) == len(ks) == 1
     first = ctx.quotient(fours[0])[0]
     assert first.group.name == "E2^3/N4" and first.tensor.order == 2
-    assert ctx.k_quotient(twos[0]).group.name == "E2^3<2>/N1"
+    assert ctx.k_quotient(twos[0]).group.name == "E2^3/N1<2>"
+
+
+@pytest.mark.parametrize("spec", ["D8", "Q8", "D16", "Q16", "C2xD8", "D12", "C2xA4"])
+def test_k_quotient_agrees_with_the_quotient_taken_inside_h(spec):
+    # no corpus group has Z-tensor != 1, so the centre stands in for it: a
+    # central Z makes H n Z != 1 for many H, and K = H / (H n Z) is then read
+    # from G/Z by verify and quotiented inside H by the oracle
+    g = group_from_spec(spec)
+    ctx = EntryContext(spec, g, Config())
+    z = ctx.__dict__["ztensor"] = center(g)
+    assert z.order > 1
+    squares = Squares()
+    for h in all_subgroups(g):
+        kc, k = ctx.k_quotient(h), k_quotient(h, z)
+        data = squares(k)
+        assert kc.group.order == k.order == h.order // len(h._set & z._set)
+        assert kc.tensor.order == data.order
+        assert [kc.dn(kc.full, n) for n in (1, 2, 3)] == [
+            rel_n_tensor_degree(k, data, full_subgroup(k), n) for n in (1, 2, 3)
+        ]
+        assert kc.tclass == tensor_class(k, data)
+
+
+@pytest.mark.parametrize(("spec", "normals"), [("S4", 4), ("D8", 6)])
+def test_each_quotient_is_projected_once(monkeypatch, spec, normals):
+    # thm-1.1 and thm-quot read G/N for every pair, thm-2.3 reads G/Z-tensor
+    calls = []
+    project = verify_module.quotient
+
+    def counted(group, n):
+        calls.append(n.elements)
+        return project(group, n)
+
+    monkeypatch.setattr(verify_module, "quotient", counted)
+    g = group_from_spec(spec)
+    evaluate_entry(CorpusEntry(spec, g), ("thm-1.1", "thm-quot", "thm-2.3"), Config())
+    assert len(normal_subgroups(g)) == normals
+    assert sorted(calls) == sorted(n.elements for n in normal_subgroups(g))
 
 
 def test_children_with_one_table_and_two_names_are_two_contexts():
@@ -182,6 +223,9 @@ def test_check_theorem_single_instances():
     assert check.rhs == Fraction(2) ** 2 * check_theorem(
         "thm-2.2", {"group": "S3", "subgroup": list(range(6)), "n": 1}
     ).lhs
+    # indices are matched as a handle stores them: sorted, without duplicates
+    unsorted = check_theorem("thm-2.2", {"group": "S3", "subgroup": a3[::-1] + a3[:1], "n": 1})
+    assert unsorted == check
 
     bound = check_theorem("thm-1.3", {"group": "S3"})
     assert bound.rhs == Fraction(1, 2)
