@@ -103,7 +103,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = Config(
         max_cosets=args.max_cosets,
         max_order=args.max_order,
-        n_values=tuple(range(1, args.n_max + 1)),
+        n_max=args.n_max,
         jobs=args.jobs,
     )
     if args.corpus == "builtin":

@@ -60,10 +60,6 @@ would pair with mu and not with gamma.  If alpha stays live, every other
 coset of its class, beta included, is processed before the queue empties,
 and ``beta[col ^ 1] = mu`` is written back at alpha the same way.
 
-The tensor square is enumerated as part of Rocco's group nu(G), over G
-(``tensor_square_presentation``): rows have 4|X| columns for a small
-generating set X of G, and there are |G| |G (x) G| cosets.
-
 Words are sequences of signed 1-based generator numbers, ``+g`` for the
 generator ``g-1`` and ``-g`` for its inverse.
 """

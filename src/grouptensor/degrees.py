@@ -13,7 +13,7 @@ as ``verify`` keeps it, the chain costs one step per level for every n.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import SpecError
 from .groups import FiniteGroup, SubgroupHandle, full_subgroup
@@ -61,17 +61,17 @@ def _next_level(group: FiniteGroup, h: SubgroupHandle, counts: dict[int, int]) -
 
 def rel_n_tensor_degree(
     group: FiniteGroup, data: TensorSquareData, h: SubgroupHandle, n: int,
-    chain: Optional[list] = None, sizes: Optional[Sequence[int]] = None,
+    chain: Optional[list] = None,
 ) -> Fraction:
-    """Probability that ``[h1, ..., hn] (x) g`` is trivial, from level n of
-    H's chain ``[c_1, c_2, ...]``, which is extended in place; ``sizes`` is
-    ``data.centralizer_sizes()``.  Either is made afresh when not given."""
+    """Probability that ``[h1, ..., hn] (x) g`` is trivial: level n of H's
+    chain ``[c_1, c_2, ...]``, which is extended in place (or made afresh
+    when not given), weighted by the tensor-centralizer sizes ``data.sizes``."""
     if n < 1:
         raise SpecError(f"degree index n must be at least 1, got {n}")
     chain = [] if chain is None else chain
     while len(chain) < n:
         chain.append(_next_level(group, h, chain[-1]) if chain else dict.fromkeys(h.elements, 1))
-    sizes = data.centralizer_sizes() if sizes is None else sizes
+    sizes = data.sizes
     hits = sum(mass * sizes[v] for v, mass in chain[n - 1].items())
     return Fraction(hits, h.order**n * group.order)
 

@@ -517,12 +517,10 @@ def direct_factors(group: FiniteGroup) -> Optional[tuple[SubgroupHandle, Subgrou
 
 
 def center(group: FiniteGroup) -> SubgroupHandle:
-    mul = group.mul
-    return group.cached("center", lambda: SubgroupHandle(group, (
-        a
-        for a in group.elements()
-        if all(mul[a][x] == mul[x][a] for x in group.elements())
-    )))
+    """Z(G), the term Z1 of ``upper_central_series``, or Z0 = 1 where the
+    series stops there."""
+    series = upper_central_series(group)
+    return series[1] if len(series) > 1 else series[0]
 
 
 def commutator_subgroup(

@@ -36,7 +36,9 @@ ends, and ``tensor_square_presentation`` refuses groups above order 64.
 
 Every result, whichever path made it, is validated for the structural facts
 later computations rely on (rows and columns of the identity are trivial, the
-matrix is symmetric, triviality of a pair forces the two elements to commute).
+matrix is symmetric, triviality of a pair forces the two elements to commute)
+and then given its row sums, the tensor-centralizer sizes that the degrees
+and Z-tensor read.
 """
 
 from __future__ import annotations
@@ -72,17 +74,16 @@ class TensorSquareData(NamedTuple):
     ``trivial[x][y]`` is True exactly when ``x (x) y`` is the identity of the
     tensor-square group.  ``counters`` is ``(defined, peak_live,
     coincidences)`` of the enumeration it was read from (see ``CosetTable``),
-    or None if the group was not enumerated.  The square names no group: a
-    ``Squares`` session shares it between every group with the same table.
+    or None if the group was not enumerated.  ``sizes[x]`` is the row sum
+    ``|C-tensor(x)|``, the tensor-centralizer size of x; ``Squares`` sets it
+    once the matrix is validated.  Neither the matrix nor the sizes name a
+    group: a session shares a square between every group with the same table.
     """
 
     order: int
     trivial: tuple[tuple[bool, ...], ...]
     counters: Optional[tuple[int, int, int]] = None
-
-    def centralizer_sizes(self) -> list[int]:
-        """The tensor-centralizer size of every element, in element order."""
-        return [sum(row) for row in self.trivial]
+    sizes: Optional[tuple[int, ...]] = None
 
 
 class Squares:
@@ -121,7 +122,7 @@ class Squares:
                 )
             data = _from_table(group, table)
         _validate(group, data)
-        self._memo[key] = data
+        data = self._memo[key] = data._replace(sizes=tuple(map(sum, data.trivial)))
         return data
 
 
@@ -234,8 +235,9 @@ def tensor_centralizer(group: FiniteGroup, data: TensorSquareData, x: int) -> Su
 
 
 def tensor_center(group: FiniteGroup, data: TensorSquareData) -> SubgroupHandle:
-    """Elements whose pair with every element is trivial."""
-    elems = [a for a in group.elements() if all(data.trivial[a])]
+    """Elements whose pair with every element is trivial: those whose
+    tensor-centralizer size in ``data.sizes`` is |G|."""
+    elems = [a for a, size in enumerate(data.sizes) if size == group.order]
     try:
         return SubgroupHandle(group, elems)
     except SpecError as exc:

@@ -54,7 +54,6 @@ from .tensor import (
     Squares,
     TensorSquareData,
     j2_order,
-    tensor_center,
     tensor_centralizer,
     tensor_class,
     tensor_square,
@@ -67,21 +66,20 @@ DISCREPANCY_NOTE = "paper-example-discrepancy"
 
 class Config(
     namedtuple(
-        "Config", "max_cosets max_order n_values jobs",
-        defaults=(DEFAULT_MAX_COSETS, 16, (1, 2, 3, 4), 1),
+        "Config", "max_cosets max_order n_max jobs",
+        defaults=(DEFAULT_MAX_COSETS, 16, 4, 1),
     )
 ):
-    """Suite configuration; the computation-relevant fields are echoed into reports."""
+    """Suite configuration; the computation-relevant fields are echoed into
+    reports.  The degree indices are 1..``n_max``, each once."""
 
     __slots__ = ()
 
     # validated here, which a typing.NamedTuple cannot define
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.max_cosets < 1 or self.max_order < 1 or self.jobs < 1:
+        if self.max_cosets < 1 or self.max_order < 1 or self.n_max < 1 or self.jobs < 1:
             raise SpecError("config bounds must be positive")
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise SpecError("n range must be positive")
         return self
 
     def echo(self) -> dict:
@@ -91,7 +89,7 @@ class Config(
         return {
             "max_cosets": self.max_cosets,
             "max_order": self.max_order,
-            "n_values": list(self.n_values),
+            "n_values": list(range(1, self.n_max + 1)),
             "format": "json",
         }
 
@@ -125,10 +123,17 @@ def builtin_corpus(max_order: int) -> list[CorpusEntry]:
 
 
 def corpus_from_file(path: str, max_order: int) -> list[CorpusEntry]:
-    """One spec per line; '#' starts a comment."""
+    """One spec per line; '#' starts a comment.  A repeated spec is refused,
+    as it would repeat each of its records."""
+    lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
-        specs = [line.split("#", 1)[0].strip() for line in handle]
-    return _corpus([spec for spec in specs if spec], max_order)
+        for number, line in enumerate(handle, 1):
+            spec = line.split("#", 1)[0].strip()
+            if spec in lines:
+                raise SpecError(f"spec {spec!r} on line {number} repeats line {lines[spec]}")
+            if spec:
+                lines[spec] = number
+    return _corpus(list(lines), max_order)
 
 
 class TheoremCheck(NamedTuple):
@@ -168,9 +173,10 @@ class EntryContext:
     """Shared artifacts for all checks on one corpus group, or on a quotient
     they read, named after its group.  ``child`` keeps one such quotient
     context per name and table; the sharing is exact, as everything a
-    context computes (degrees, the tensor square, Z-tensor, the tensor class)
-    is a function of its table, and a ``LimitError`` note reads the name.
-    Children square in their root's ``Squares`` session: the run's, or its own."""
+    context computes (degrees, the tensor square with its centralizer sizes,
+    the tensor series from Z-tensor, the tensor class) is a function of its
+    table, and a ``LimitError`` note reads the name.  Children square in
+    their root's ``Squares`` session: the run's, or its own."""
 
     def __init__(self, spec: str, group: FiniteGroup, config: Config,
                  squares: Optional[Squares] = None) -> None:
@@ -202,7 +208,8 @@ class EntryContext:
 
     @cached_property
     def ztensor(self) -> SubgroupHandle:
-        return tensor_center(self.group, self.tensor)
+        """Z-tensor, the first term of the series ``tclass`` reads."""
+        return tensor_upper_central(self.group, self.tensor, 1)
 
     @cached_property
     def centralizers(self) -> list[SubgroupHandle]:
@@ -228,15 +235,10 @@ class EntryContext:
                       for h in subgroups if nh <= h]
         return pairs
 
-    @cached_property
-    def sizes(self) -> list[int]:
-        """The tensor-centralizer size of every element, in element order."""
-        return self.tensor.centralizer_sizes()
-
     def dn(self, h: SubgroupHandle, n: int) -> Fraction:
         """dn(H, G), from one commutator chain per subgroup, extended on demand."""
         return self._memo("dn", (h.elements, n), lambda: rel_n_tensor_degree(
-            self.group, self.tensor, h, n, self._memo("chain", h.elements, list), self.sizes
+            self.group, self.tensor, h, n, self._memo("chain", h.elements, list)
         ))
 
     def comm(self, h: SubgroupHandle) -> Fraction:
@@ -309,7 +311,7 @@ def _once(ctx: EntryContext) -> list[dict]:
 
 
 def _per_n(ctx: EntryContext) -> list[dict]:
-    return [{"n": n} for n in ctx.config.n_values]
+    return [{"n": n} for n in range(1, ctx.config.n_max + 1)]
 
 
 def _per_subgroup_n(ctx: EntryContext, proper: bool = False) -> list[dict]:
@@ -318,13 +320,13 @@ def _per_subgroup_n(ctx: EntryContext, proper: bool = False) -> list[dict]:
         {"subgroup": h, "n": n}
         for h in all_subgroups(ctx.group)
         if not (proper and h.order == ctx.group.order)
-        for n in ctx.config.n_values
+        for n in range(1, ctx.config.n_max + 1)
     ]
 
 
 def _per_pair_n(ctx: EntryContext) -> list[dict]:
     """Every pair of ``EntryContext.pairs`` with every n."""
-    return [{**pair, "n": n} for pair in ctx.pairs for n in ctx.config.n_values]
+    return [{**pair, "n": n} for pair in ctx.pairs for n in range(1, ctx.config.n_max + 1)]
 
 
 def _eval_thm_1_1(ctx: EntryContext, inst: dict) -> Finding:

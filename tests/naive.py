@@ -3,8 +3,9 @@ chain of ``degrees.rel_n_tensor_degree`` is tested against: direct tuple
 enumeration, and the commutator distribution rebuilt from level 1 for each n.
 Also the element-wise group helpers the oracles and tests read, which the
 package itself does not need: the iterated commutator, the centralizer,
-normality by conjugating with every element, and K = H / (H n Z) quotiented
-inside H."""
+normality by conjugating with every element, K = H / (H n Z) quotiented
+inside H, the center by the all-pairs scan, and Z-tensor from all rows of
+the triviality matrix."""
 
 from fractions import Fraction
 from itertools import product
@@ -39,6 +40,19 @@ def centralizer(group: FiniteGroup, x: int) -> SubgroupHandle:
     return SubgroupHandle(
         group, (a for a in group.elements() if mul[a][x] == mul[x][a])
     )
+
+
+def center_all_pairs(group: FiniteGroup) -> tuple[int, ...]:
+    """Z(G): the elements that commute with every element."""
+    mul = group.mul
+    return tuple(
+        a for a in group.elements() if all(mul[a][x] == mul[x][a] for x in group.elements())
+    )
+
+
+def tensor_center_all_rows(group: FiniteGroup, data: TensorSquareData) -> tuple[int, ...]:
+    """Z-tensor(G): the elements whose pair with every element is trivial."""
+    return tuple(a for a in group.elements() if all(data.trivial[a]))
 
 
 def is_normal(h: SubgroupHandle) -> bool:

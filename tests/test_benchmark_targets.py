@@ -1,8 +1,9 @@
-"""The benchmark's span targets name functions that exist.
+"""The benchmark's span targets and workloads name functions that exist.
 
 ``perfbench/spans.py`` wraps package functions by module and attribute name,
-so renaming one breaks every traced benchmark run; this test catches the
-rename in the test suite instead.
+and ``perfbench/workloads.py`` imports and calls package functions, so
+renaming or retyping one breaks every benchmark run; these tests catch the
+change in the test suite instead.
 """
 
 import importlib
@@ -10,7 +11,18 @@ import importlib.util
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _resolves(module_name: str, attr: str) -> bool:
@@ -23,11 +35,7 @@ def _resolves(module_name: str, attr: str) -> bool:
 
 
 def test_every_span_target_is_an_attribute_of_its_module(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    # dataclasses resolve the module's annotations through sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, spans)
-    spec.loader.exec_module(spans)
+    spans = _load("spans", monkeypatch)
     assert len(spans.TARGETS) > 0
     missing = [
         f"grouptensor.{module}.{attr}"
@@ -35,3 +43,13 @@ def test_every_span_target_is_an_attribute_of_its_module(monkeypatch):
         if not _resolves(module, attr)
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize(("name", "item"), [("tensor-indecomposable", "D16"),
+                                            ("tensor-products", "C3xS3")])
+def test_a_square_workload_matches_its_recorded_values(monkeypatch, name, item):
+    # build, run and check one item as a benchmark sample does, at seed 7
+    workload = _load("workloads", monkeypatch).WORKLOADS[name]
+    assert item in workload.items
+    inputs = workload.build(item, 7)
+    assert workload.check(item, inputs, workload.run(inputs)) == ([], 1, 0)

@@ -251,6 +251,15 @@ def test_verify_corpus_file_and_formats(tmp_path, capsys):
     assert "verdict" in out_table.read_text()
 
 
+def test_verify_refuses_a_repeated_corpus_spec(tmp_path, capsys):
+    # each of S3's records would be written twice
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("S3\n# a comment\nC4\nS3  # again\n")
+    code, out, err = run_cli(capsys, "verify", "--corpus", str(corpus), "--theorems", "thm-1.3")
+    assert code == 2 and out == ""
+    assert "'S3' on line 4 repeats line 1" in err
+
+
 def test_verify_bad_theorem_id(capsys):
     code, _, err = run_cli(capsys, "verify", "--theorems", "thm-0.0")
     assert code == 2

@@ -34,7 +34,8 @@ from grouptensor.groups import (
     relabeled,
     trivial_subgroup,
 )
-from naive import centralizer, is_normal, iterated_commutator
+from grouptensor.verify import builtin_corpus
+from naive import center_all_pairs, centralizer, is_normal, iterated_commutator
 
 SMALL_SPECS = [
     "C1", "C2", "C3", "C4", "C6", "C8", "C12",
@@ -283,6 +284,16 @@ def test_centralizer_and_center():
     s3 = symmetric(3)
     three_cycle = next(x for x in s3.elements() if s3.element_order(x) == 3)
     assert centralizer(s3, three_cycle).order == 3
+
+
+def test_center_is_the_all_pairs_center():
+    # Z1 of the upper central series, or Z0 where the series stops there
+    rng = random.Random(30)
+    for entry in builtin_corpus(24):
+        rest = list(range(1, entry.group.order))
+        rng.shuffle(rest)
+        for g in (entry.group, relabeled(entry.group, [0] + rest)):
+            assert center(g).elements == center_all_pairs(g), entry.spec
 
 
 def test_commutator_subgroup():

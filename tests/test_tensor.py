@@ -38,7 +38,7 @@ from grouptensor.groups import (
 )
 from grouptensor.specs import group_from_spec
 from grouptensor.verify import builtin_corpus
-from naive import centralizer, iterated_commutator
+from naive import centralizer, iterated_commutator, tensor_center_all_rows
 
 CORPUS_12 = [
     "C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10", "C11", "C12",
@@ -271,9 +271,10 @@ def test_only_enumerated_squares_keep_counters(groups):
 
 
 def test_a_square_is_its_order_and_matrix():
-    # a session shares a square between equal tables, so it names no group
+    # a session shares a square between equal tables, so it names no group;
+    # the centralizer sizes, like the matrix, are a function of the table
     names = list(tensor_module.TensorSquareData._fields)
-    assert names == ["order", "trivial", "counters"]
+    assert names == ["order", "trivial", "counters", "sizes"]
 
 
 def test_a_session_squares_each_table_once(groups, monkeypatch):
@@ -392,6 +393,24 @@ def test_tensor_center(groups, tensors):
     assert tensor_center(groups("S3"), tensors("S3")).order == 1
     assert tensor_center(groups("C1"), tensors("C1")).order == 1
     assert tensor_center(groups("C2"), tensors("C2")).elements == (0,)
+
+
+def test_tensor_center_is_every_trivial_row():
+    # read from the centralizer sizes; checked on the corpus and relabelled copies
+    rng, squares = random.Random(30), Squares()
+    for entry in builtin_corpus(24):
+        rest = list(range(1, entry.group.order))
+        rng.shuffle(rest)
+        for g in (entry.group, relabeled(entry.group, [0] + rest)):
+            data = squares(g)
+            assert tensor_center(g, data).elements == tensor_center_all_rows(g, data), entry.spec
+
+
+@pytest.mark.parametrize("spec", ["C4", "C2xS3", "D8", "S3"])
+def test_sizes_are_the_row_sums_on_every_path(groups, spec):
+    # the abelian, product, 2-quotient and enumerated paths, in that order
+    data = tensor_square(groups(spec))
+    assert data.sizes == tuple(sum(row) for row in data.trivial)
 
 
 def test_tensor_center_within_center(groups, tensors):

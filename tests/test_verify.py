@@ -277,6 +277,19 @@ def test_suite_determinism_and_summary():
     assert summarize(r1.checks) == r1.summary
 
 
+def test_n_max_gives_each_degree_index_once():
+    assert Config().echo()["n_values"] == [1, 2, 3, 4]
+    assert Config(n_max=2).echo()["n_values"] == [1, 2]
+    # each (group, subgroup) once per index: 25 records at n_max 1, 50 at 2
+    one = run_suite(builtin_corpus(6), "thm-2.2", Config(max_order=6, n_max=1))
+    two = run_suite(builtin_corpus(6), "thm-2.2", Config(max_order=6, n_max=2))
+    keys = [check.sort_key() for check in two.checks]
+    assert len(one.checks) == 25 and len(keys) == len(set(keys)) == 50
+    for bad in (0, -1):
+        with pytest.raises(SpecError, match="positive"):
+            Config(n_max=bad)
+
+
 def test_suite_parallel_matches_serial():
     corpus = builtin_corpus(8)
     serial = run_suite(corpus, ("thm-2.2", "thm-quot", "ex-3.3"), Config(max_order=8, jobs=1))
