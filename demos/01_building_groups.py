@@ -5,6 +5,8 @@ identity at 0.  Spec strings like "D8" or "C2xC4" build the named families;
 subgroups are index tuples; quotients come with their projection map.
 """
 
+from math import lcm
+
 from grouptensor import (
     all_subgroups,
     center,
@@ -42,7 +44,8 @@ print()
 print("== quotients and central series ==")
 zd8 = center(d8)
 q, proj = quotient(d8, zd8)
-print(f"D8 / Z(D8) has order {q.order} and exponent {q.exponent()}")
+exponent = lcm(*map(q.element_order, q.elements()))
+print(f"D8 / Z(D8) has order {q.order} and exponent {exponent}")
 print(f"derived subgroup of D8: {derived_subgroup(d8).elements}")
 print(f"upper central series orders: {[t.order for t in upper_central_series(d8)]}")
 print(f"nilpotency class: D8 -> {nilpotency_class(d8)}, "

@@ -25,8 +25,8 @@ is an action of the free group, and a relator acts as the identity exactly
 when any cyclic rotation of it, or of its inverse, does: each is a conjugate
 of it.  So ``_verify_table`` may check whichever of these shares the longest
 prefix with the relators already placed, and composes whole columns once per
-node of that prefix tree (S4 328 compositions for 524 relator letters, A5
-514 for 1,052).
+node of that prefix tree (S4 204 compositions for 332 relator letters, A5
+334 for 596).
 
 The kernel is inlined where it runs per coset: a definition is written out
 in the scan and in the row fill, and callers of ``rep``, ``merge`` among
@@ -411,7 +411,7 @@ def _compose(perm: Sequence[int], column: Sequence[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def tensor_square_presentation(group: FiniteGroup, *, x_only: bool = False) -> Presentation:
+def tensor_square_presentation(group: FiniteGroup) -> Presentation:
     """A presentation of Rocco's group nu(G), with G as its subgroup.
 
     Rocco (Bol. Soc. Brasil. Mat. 22, 1991) presents nu(G) on G and a copy
@@ -419,21 +419,17 @@ def tensor_square_presentation(group: FiniteGroup, *, x_only: bool = False) -> P
     ``^k [g, h^phi] = [^k g, (^k h)^phi] = ^(k^phi) [g, h^phi]``;
     ``g (x) h -> [g, h^phi]`` maps G (x) G isomorphically onto
     ``[G, G^phi]``.  Ellis and Leonard (Proc. Roy. Irish Acad. 95A, 1995)
-    show that the last relations are needed only at generators.
+    show that the last relations are needed only at generators, and one
+    conjugator of each unit {x, x^-1} will do.
 
     Generator ``i`` is ``X[i]`` and ``|X| + i`` is ``X[i]^phi``, for X of
     ``spanning_tree``; w(g) is the word of g along its tree.  The relators
     are the Schreier relators ``w(g) x w(gx)^-1`` (g in G, x in X), their
     phi-copies, and ``z [x, y^phi] z^-1 = [^z x, (^z y)^phi]`` and
-    ``z^phi [x, y^phi] z^-phi = [^z x, (^z y)^phi]`` for x, y in X and z in
-    S = ``generating_set(group)``, freely and cyclically reduced, without
-    duplicates.  The subgroup words are the letters of X.
-
-    With ``x_only`` z runs over X alone, one element of each unit of S, which
-    is all Ellis and Leonard need.  The 2-quotient path takes it, for fewer
-    relators (D16 26 instead of 34, Q16 44 instead of 60); enumeration keeps
-    S, whose inverses cut the live cosets (A5 peaks at 34,718 with them and
-    at 166,290 without).
+    ``z^phi [x, y^phi] z^-phi = [^z x, (^z y)^phi]`` for x, y and z in X,
+    freely and cyclically reduced, without duplicates.  The subgroup words
+    are the letters of X.  S4 has 42 relators of 332 letters, D16 26 and Q16
+    44.  Enumeration and the 2-quotient path read the same presentation.
     """
     n = group.order
     if n > HARD_MAX_ORDER:
@@ -458,7 +454,7 @@ def tensor_square_presentation(group: FiniteGroup, *, x_only: bool = False) -> P
         for i, x in enumerate(gens)
     ]
     relators = schreier + [phi(w) for w in schreier]
-    for z in gens if x_only else generating_set(group):
+    for z in gens:
         for i, x in enumerate(gens):
             for j, y in enumerate(gens):
                 a, b = word[conjugate(group, z, x)], phi(word[conjugate(group, z, y)])
@@ -500,13 +496,10 @@ def spanning_tree(
     each later unit the element y whose product with the previous generator
     x is an involution, or else has the largest order, ties by least element.
     The order of xy does not depend on the labels, nor does it change if x
-    and y are both inverted.  S4's presentation then has 524 relator letters
-    whatever the labels (516 or 524 by least element, and the 524-letter one
-    defines fewer cosets); A5 picks a product of order 2 where its unit
-    offers one (about 32,000 cosets defined) and of order 5 over order 3
-    (35,000-56,000 against 65,000-97,000).  The default labels give A5 a
-    unit with no involutory product: 54,026 cosets defined, at most 34,718
-    live.
+    and y are both inverted.  S4's presentation then has 332 relator letters
+    and A5's 596 whatever the labels (relabelling seeds 0-39).  At the
+    default labels S4 defines 5,879 cosets, at most 2,914 live, and A5
+    39,177, at most 13,069 live.
     The tree has ``(g, parent, letter)`` for every g but the identity, with
     g = parent * X[i] for the letter ``i + 1`` and parent * X[i]^-1 for
     ``-(i + 1)``, letters tried in the order ``+1, -1, +2, -2, ...``.
@@ -548,37 +541,43 @@ def spanning_tree(
 
 
 def generating_set(group: FiniteGroup) -> tuple[int, ...]:
-    """The elements of S for ``tensor_square_presentation``, sorted.
+    """The elements of S, sorted, whose units ``spanning_tree`` takes X from.
 
     S generates the group and is a union of units ``{x, x^-1}``.  It starts
-    with a unit of largest element order, then adds each unit that enlarges
-    the subgroup generated so far, non-involutions first, each in ascending
-    element order (ties by least element); then every unit the others can
-    do without is dropped, in the order added.  The trivial group gets its
-    identity.  Conjugating by one element of each unit would do, but the
-    inverses speed up the enumeration: A4 peaks at 549 live cosets instead
-    of 714, S4 at 2,541 instead of 2,914, A5 at 34,718 instead of 166,290.
-    Non-involutions first keep S4 at 2,541 and A4 at 549 (4,112 and 1,554
-    otherwise), though A5 with an involution in place of its 3-cycles would
-    peak at 14,061.
+    with a unit of largest element order, ties by least element.  While S
+    does not generate the group, it adds the unit outside the subgroup
+    generated so far that ranks first: a unit with an element whose product
+    with an element of the last unit added is an involution; then a
+    non-involution; then lower element order; then the least element.  Then
+    every unit the others can do without is dropped, in the order added.
+    The trivial group gets its identity.  Only the ties by least element
+    read labels.  A5 gets a 5-cycle unit and a 3-cycle unit whose product
+    is an involution: over relabelling seeds 0-39 its enumeration defines
+    36,712-39,740 cosets, at most 11,496-13,692 live.  Without the first
+    key, and with the crossed relators conjugated by all of S, it defined
+    31,477-56,240, at most 9,173-37,401 live.  Among the one- and two-term
+    specs up to order 64, the first key changes S only for A5 and for
+    direct products, which are squared through their factors.
     """
     if group.order == 1:
         return (0,)
     order = element_orders(group)
-    units = sorted(
-        {tuple(sorted({x, group.inv[x]})) for x in group.elements() if x},
-        key=lambda unit: (order[unit[0]] == 2, order[unit[0]], unit),
-    )
+    units = {tuple(sorted({x, group.inv[x]})) for x in group.elements() if x}
 
     def span(picked: list[tuple[int, ...]]) -> tuple[int, ...]:
         return closure(group, [x for unit in picked for x in unit])
 
+    def rank(unit: tuple[int, ...]) -> tuple:
+        # an involutory product with the last unit, a non-involution, the
+        # least order: none of these reads a label; the least element last
+        product = any(order[group.mul[x][y]] == 2 for x in chosen[-1] for y in unit)
+        return not product, order[unit[0]] == 2, order[unit[0]], unit[0]
+
     chosen = [max(units, key=lambda unit: (order[unit[0]], -unit[0]))]
     reached = set(span(chosen))
-    for unit in units:
-        if unit[0] not in reached:
-            chosen.append(unit)
-            reached = set(span(chosen))
+    while len(reached) < group.order:
+        chosen.append(min((u for u in units if u[0] not in reached), key=rank))
+        reached = set(span(chosen))
     for unit in list(chosen):
         rest = [u for u in chosen if u != unit]
         if len(span(rest)) == group.order:

@@ -11,7 +11,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from itertools import permutations
-from math import lcm
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import SpecError
@@ -91,9 +90,6 @@ class FiniteGroup:
             for a in range(self.order)
             for b in range(a + 1, self.order)
         ))
-
-    def exponent(self) -> int:
-        return self.cached("exponent", lambda: lcm(*map(self.element_order, self.elements())))
 
     @classmethod
     def _known(
@@ -529,6 +525,21 @@ def commutator_subgroup(
     """Subgroup generated by all [x, y] with x in a, y in b."""
     gens = {commutator(group, x, y) for x in a.elements for y in b.elements}
     return subgroup_generated(group, gens)
+
+
+def commutator_with_group(group: FiniteGroup, h: SubgroupHandle) -> SubgroupHandle:
+    """[H, G]: the normal closure in G of [x, s] for x in H and s in
+    ``generators``, which holds every [x, g] as [x, s t] = [x, s] s [x, t]
+    s^-1.  The closure grows by the conjugates s y s^-1 that it misses; once
+    none is missed it is normal, as s N s^-1 <= N for every generator s."""
+    mul, inv, gens = group.mul, group.inv, generators(group)
+    found = {commutator(group, x, s) for x in h.elements for s in gens}
+    while True:
+        span = closure(group, found)
+        missed = {mul[mul[s][y]][inv[s]] for y in span for s in gens} - set(span)
+        if not missed:
+            return SubgroupHandle._known(group, span)
+        found |= missed
 
 
 def derived_subgroup(group: FiniteGroup) -> SubgroupHandle:

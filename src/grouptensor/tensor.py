@@ -22,10 +22,7 @@ paths that applies:
   ``pquotient.two_quotient`` computes that quotient as a consistent pc
   presentation that satisfies every relator, so its order is |nu(G)|, and
   ``_from_two_quotient`` reads ``g (x) h`` as trivial exactly when the images
-  of g and h^phi commute.  Its presentation conjugates by the letters of X
-  alone (``x_only``): Ellis and Leonard need one conjugator per unit
-  {x, x^-1}, and the inverses, which help enumeration, would only add
-  relators to the quotient (D16 has 26 relators instead of 34);
+  of g and h^phi commute;
 * every other group is realized by enumerating the cosets of G in nu(G);
   ``_from_table`` reads the order and the matrix from the cosets.
 
@@ -181,7 +178,7 @@ def _from_two_quotient(group: FiniteGroup) -> TensorSquareData:
     # imported on first use: a process that squares no 2-group never loads it
     from .pquotient import two_quotient
 
-    presentation = tensor_square_presentation(group, x_only=True)
+    presentation = tensor_square_presentation(group)
     nu = two_quotient(presentation)
     mul, letters, m = nu.mul, nu.letters(), presentation.generator_count // 2
     _, tree = spanning_tree(group)

@@ -30,7 +30,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import repeat
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .coset_enum import DEFAULT_MAX_COSETS
 from .degrees import format_fraction, rel_comm_degree, rel_n_tensor_degree
@@ -40,7 +40,7 @@ from .groups import (
     SubgroupHandle,
     all_subgroups,
     center,
-    commutator_subgroup,
+    commutator_with_group,
     full_subgroup,
     nilpotency_class,
     normal_subgroups,
@@ -324,16 +324,16 @@ def _per_subgroup_n(ctx: EntryContext, proper: bool = False) -> list[dict]:
     ]
 
 
-def _per_pair_n(ctx: EntryContext) -> list[dict]:
-    """Every pair of ``EntryContext.pairs`` with every n."""
-    return [{**pair, "n": n} for pair in ctx.pairs for n in range(1, ctx.config.n_max + 1)]
+def _per_pair_n(ctx: EntryContext) -> Iterator[dict]:
+    """Every pair of ``EntryContext.pairs`` with every n, made as it is read."""
+    return ({**pair, "n": n} for pair in ctx.pairs for n in range(1, ctx.config.n_max + 1))
 
 
 def _eval_thm_1_1(ctx: EntryContext, inst: dict) -> Finding:
     h, n = inst["subgroup"], inst["normal"]
     lhs = ctx.comm(h)
     rhs = inst["quotient"].comm(inst["image"]) * ctx.d_inner(n)
-    hg = ctx._memo("hg", h.elements, lambda: commutator_subgroup(ctx.group, h, ctx.full))
+    hg = ctx._memo("hg", h.elements, lambda: commutator_with_group(ctx.group, h))
     equality_case = len(n._set & hg._set) == 1
     relation, variant = ("eq", "equality") if equality_case else ("le", "inequality")
     return Finding(lhs, rhs, lambda: {
@@ -546,7 +546,7 @@ class Check(NamedTuple):
     ``keep`` admits), their evaluation, and whether the check reads the
     tensor square (those that do not survive its overflow)."""
 
-    generate: Callable[[EntryContext], list[dict]]
+    generate: Callable[[EntryContext], Iterable[dict]]
     evaluate: Callable[[EntryContext, dict], Finding]
     needs_tensor: bool = True
     keep: Callable[[EntryContext, dict], bool] = lambda ctx, inst: True
@@ -592,10 +592,11 @@ def _overflow(ctx: EntryContext, check_id: str) -> Optional[TheoremCheck]:
     return None
 
 
-def _instances(ctx: EntryContext, check_id: str) -> list[dict]:
-    """The instances of one check on one group: those ``keep`` admits."""
+def _instances(ctx: EntryContext, check_id: str) -> Iterator[dict]:
+    """The instances of one check on one group, those ``keep`` admits, made
+    as they are read: no check keeps the list of its instances."""
     check = CHECKS[check_id]
-    return [inst for inst in check.generate(ctx) if check.keep(ctx, inst)]
+    return (inst for inst in check.generate(ctx) if check.keep(ctx, inst))
 
 
 def _where(inst: dict) -> tuple:

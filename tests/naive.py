@@ -4,11 +4,13 @@ enumeration, and the commutator distribution rebuilt from level 1 for each n.
 Also the element-wise group helpers the oracles and tests read, which the
 package itself does not need: the iterated commutator, the centralizer,
 normality by conjugating with every element, K = H / (H n Z) quotiented
-inside H, the center by the all-pairs scan, and Z-tensor from all rows of
-the triviality matrix."""
+inside H, the center by the all-pairs scan, [H, G] from all |H| |G|
+commutators, the exponent, and Z-tensor from all rows of the triviality
+matrix."""
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Sequence
 
 from grouptensor import (
@@ -19,6 +21,7 @@ from grouptensor import (
     TensorSquareData,
     commutator,
     quotient,
+    subgroup_generated,
 )
 from grouptensor.groups import subgroup_as_group
 
@@ -48,6 +51,18 @@ def center_all_pairs(group: FiniteGroup) -> tuple[int, ...]:
     return tuple(
         a for a in group.elements() if all(mul[a][x] == mul[x][a] for x in group.elements())
     )
+
+
+def commutator_with_group_all_pairs(group: FiniteGroup, h: SubgroupHandle) -> tuple[int, ...]:
+    """[H, G]: the subgroup generated by [x, g] for every x in H and g in G."""
+    return subgroup_generated(
+        group, {commutator(group, x, g) for x in h.elements for g in group.elements()}
+    ).elements
+
+
+def exponent(group: FiniteGroup) -> int:
+    """The least common multiple of the element orders."""
+    return lcm(*map(group.element_order, group.elements()))
 
 
 def tensor_center_all_rows(group: FiniteGroup, data: TensorSquareData) -> tuple[int, ...]:

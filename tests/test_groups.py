@@ -30,12 +30,21 @@ from grouptensor.groups import (
     FiniteGroup,
     SubgroupHandle,
     closure,
+    commutator_with_group,
     full_subgroup,
     relabeled,
     trivial_subgroup,
 )
 from grouptensor.verify import builtin_corpus
-from naive import center_all_pairs, centralizer, is_normal, iterated_commutator
+from naive import (
+    center_all_pairs,
+    centralizer,
+    commutator_with_group_all_pairs,
+    exponent,
+    is_normal,
+    iterated_commutator,
+)
+from test_cli import ORDER_64_CORPUS
 
 SMALL_SPECS = [
     "C1", "C2", "C3", "C4", "C6", "C8", "C12",
@@ -100,7 +109,7 @@ def test_symmetric_3_center_is_trivial():
 def test_direct_products():
     c2 = cyclic(2)
     klein = direct_product(c2, c2)
-    assert klein.order == 4 and klein.exponent() == 2
+    assert klein.order == 4 and exponent(klein) == 2
     c2xc4 = direct_product(c2, cyclic(4))
     assert c2xc4.order == 8 and c2xc4.is_abelian()
     s3xc2 = direct_product(symmetric(3), c2)
@@ -296,6 +305,30 @@ def test_center_is_the_all_pairs_center():
             assert center(g).elements == center_all_pairs(g), entry.spec
 
 
+def _h_g_matches_all_pairs(group):
+    for h in all_subgroups(group):
+        assert commutator_with_group(group, h).elements == commutator_with_group_all_pairs(
+            group, h
+        ), (group.name, h.elements)
+
+
+def test_commutator_with_group_matches_all_pairs():
+    # [H, G] as a normal closure from generators of G, against all |H| |G|
+    # commutators, for every subgroup of the corpus and of a relabelling
+    rng = random.Random(31)
+    for entry in builtin_corpus(24):
+        rest = list(range(1, entry.group.order))
+        rng.shuffle(rest)
+        for g in (entry.group, relabeled(entry.group, [0] + rest)):
+            _h_g_matches_all_pairs(g)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", ORDER_64_CORPUS)
+def test_commutator_with_group_matches_all_pairs_at_order_64(spec):
+    _h_g_matches_all_pairs(group_from_spec(spec))
+
+
 def test_commutator_subgroup():
     d8 = dihedral(8)
     assert derived_subgroup(d8).elements == (0, 2)
@@ -311,7 +344,7 @@ def test_commutator_subgroup():
 def test_quotient():
     d8 = dihedral(8)
     q, proj = quotient(d8, subgroup_generated(d8, [2]))
-    assert q.order == 4 and q.exponent() == 2
+    assert q.order == 4 and exponent(q) == 2
     # projection is a homomorphism
     for a in d8.elements():
         for b in d8.elements():

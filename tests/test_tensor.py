@@ -264,8 +264,8 @@ def test_indecomposable_two_groups_leave_the_enumerator(groups, monkeypatch):
 def test_only_enumerated_squares_keep_counters(groups):
     # (defined, peak_live, coincidences) of the enumeration of nu(G) over G;
     # the 2-quotient (D8), product (C2xS3) and abelian (C4) paths enumerate nothing
-    assert tensor_square(groups("S3")).counters == (243, 180, 208)
-    assert tensor_square(groups("S4")).counters == (5321, 2541, 4170)
+    assert tensor_square(groups("S3")).counters == (305, 197, 270)
+    assert tensor_square(groups("S4")).counters == (5879, 2914, 4728)
     for spec in ("D8", "C2xS3", "C4"):
         assert tensor_square(groups(spec)).counters is None, spec
 
@@ -310,6 +310,32 @@ def test_two_quotient_path_matches_enumeration_on_d8xd8_subgroups(groups):
     for order in (2048, 4096):
         square = tensor_square(picked[order])
         assert (square.order, square.trivial) == enumerated(picked[order]), order
+
+
+def legal_specs():
+    """Every one-term spec up to order 64 but the trivial and repeated ones
+    (C1, S2, A3, E p^1, ...), and the product of each unordered pair of
+    them, once, up to order 64."""
+    terms = (
+        [f"C{n}" for n in range(2, 65)] + [f"D{n}" for n in range(4, 65, 2)]
+        + ["Q8", "Q16", "S3", "S4", "A4", "A5"]
+        + [f"E{p}^{k}" for p, top in ((2, 6), (3, 3), (5, 2), (7, 2)) for k in range(2, top + 1)]
+    )
+    orders = {term: group_from_spec(term).order for term in terms}
+    return terms + [
+        f"{a}x{b}" for i, a in enumerate(terms) for b in terms[i:] if orders[a] * orders[b] <= 64
+    ]
+
+
+@pytest.mark.slow
+def test_every_legal_spec_up_to_order_64_squares():
+    # every legal spec finishes under the default cap; the whole sweep
+    # takes about 5 s
+    specs = legal_specs()
+    assert len(specs) == 351
+    for spec in specs:
+        group = group_from_spec(spec)
+        assert len(tensor_square(group).trivial) == group.order, spec
 
 
 def test_two_group_pieces_of_order_64_products_square_without_a_cap(monkeypatch):
