@@ -24,7 +24,6 @@ from .groups import (
     all_subgroups,
     center,
     commutator,
-    commutator_subgroup,
     conjugate,
     cyclic,
     derived_subgroup,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import SpecError
-from .groups import FiniteGroup, SubgroupHandle, full_subgroup
+from .groups import FiniteGroup, SubgroupHandle, centralizers, full_subgroup
 from .tensor import TensorSquareData
 
 
@@ -37,10 +37,9 @@ def format_decimal(value: Fraction) -> str:
 
 
 def rel_comm_degree(group: FiniteGroup, h: SubgroupHandle) -> Fraction:
-    """Probability that a pair from H x G commutes, exactly."""
-    mul = group.mul
-    hits = sum(mul[a][b] == mul[b][a] for a in h.elements for b in group.elements())
-    return Fraction(hits, h.order * group.order)
+    """Probability that a pair from H x G commutes, from the sizes |C_G(h)|."""
+    cent = centralizers(group)
+    return Fraction(sum(cent[a].bit_count() for a in h.elements), h.order * group.order)
 
 
 def comm_degree(group: FiniteGroup) -> Fraction:

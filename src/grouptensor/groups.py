@@ -10,7 +10,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import compress, permutations
+from operator import eq
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import SpecError
@@ -85,11 +86,7 @@ class FiniteGroup:
         return self._cache[key]
 
     def is_abelian(self) -> bool:
-        return self.cached("abelian", lambda: all(
-            self.mul[a][b] == self.mul[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        ))
+        return all(c.bit_count() == self.order for c in centralizers(self))
 
     @classmethod
     def _known(
@@ -519,14 +516,6 @@ def center(group: FiniteGroup) -> SubgroupHandle:
     return series[1] if len(series) > 1 else series[0]
 
 
-def commutator_subgroup(
-    group: FiniteGroup, a: SubgroupHandle, b: SubgroupHandle
-) -> SubgroupHandle:
-    """Subgroup generated by all [x, y] with x in a, y in b."""
-    gens = {commutator(group, x, y) for x in a.elements for y in b.elements}
-    return subgroup_generated(group, gens)
-
-
 def commutator_with_group(group: FiniteGroup, h: SubgroupHandle) -> SubgroupHandle:
     """[H, G]: the normal closure in G of [x, s] for x in H and s in
     ``generators``, which holds every [x, g] as [x, s t] = [x, s] s [x, t]
@@ -543,9 +532,8 @@ def commutator_with_group(group: FiniteGroup, h: SubgroupHandle) -> SubgroupHand
 
 
 def derived_subgroup(group: FiniteGroup) -> SubgroupHandle:
-    return group.cached("derived", lambda: commutator_subgroup(
-        group, full_subgroup(group), full_subgroup(group)
-    ))
+    """G' = [G, G], the normal closure of the [x, s] for s in ``generators``."""
+    return group.cached("derived", lambda: commutator_with_group(group, full_subgroup(group)))
 
 
 def quotient(
@@ -601,14 +589,14 @@ def upper_central_series(group: FiniteGroup) -> list[SubgroupHandle]:
 def upper_central_from(
     group: FiniteGroup, series: list[SubgroupHandle]
 ) -> tuple[SubgroupHandle, ...]:
-    """``series`` extended by Z(i+1) = {a : [a, g] in Z(i) for every g} until
-    a step adds nothing; the terms given are kept as they are."""
-    elements = group.elements()
+    """``series``, of normal terms, extended by Z(i+1) = {a : [a, s] in Z(i)
+    for each s in ``generators``} until a step adds nothing; the terms given
+    are kept.  The g with [a, g] in Z(i) form a subgroup, the preimage of the
+    centralizer of a Z(i) in G/Z(i), so every g passes when each s does."""
+    elements, gens = group.elements(), generators(group)
     while True:
         prev = series[-1]
-        nxt = tuple(
-            a for a in elements if all(commutator(group, a, g) in prev for g in elements)
-        )
+        nxt = tuple(a for a in elements if all(commutator(group, a, s) in prev for s in gens))
         if nxt == prev.elements:
             return tuple(series)
         # the preimage of the center of G/Z(i)
@@ -623,6 +611,17 @@ def nilpotency_class(group: FiniteGroup) -> Optional[int]:
 def series_class(series: Sequence[SubgroupHandle]) -> Optional[int]:
     """Index of the first term that is the whole group, or None."""
     return next((c for c, term in enumerate(series) if term.order == term.parent.order), None)
+
+
+def centralizers(group: FiniteGroup) -> tuple[int, ...]:
+    """The commuting relation, one bitmask per element x: bit a is set exactly
+    when a x = x a, so |C_G(x)| is its ``bit_count()``."""
+    def make():
+        bits = [1 << a for a in group.elements()]
+        return tuple(sum(compress(bits, map(eq, row, col)))
+                     for row, col in zip(group.mul, zip(*group.mul)))
+
+    return group.cached("centralizers", make)
 
 
 def element_orders(group: FiniteGroup) -> tuple[int, ...]:

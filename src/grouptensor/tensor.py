@@ -55,6 +55,7 @@ from .errors import ConsistencyError, LimitError, SpecError
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
+    centralizers,
     derived_subgroup,
     direct_factors,
     quotient,
@@ -186,12 +187,12 @@ def _from_two_quotient(group: FiniteGroup) -> TensorSquareData:
     def act(x: int, letter: int) -> int:
         return mul(x, letters[letter])
 
-    copies, g_mul = _walk(tree, 0, act, m), group.mul
+    copies = _walk(tree, 0, act, m)
     # x (x) y maps to [x, y], so only a pair that commutes in G can be
     # trivial; each order is read, for _validate's symmetry check
     trivial = tuple(
-        tuple(row[h] == g_mul[h][g] and mul(x, y) == mul(y, x) for h, y in enumerate(copies))
-        for g, (row, x) in enumerate(zip(g_mul, _walk(tree, 0, act, 0)))
+        tuple(c >> h & 1 == 1 and mul(x, y) == mul(y, x) for h, y in enumerate(copies))
+        for c, x in zip(centralizers(group), _walk(tree, 0, act, 0))
     )
     return TensorSquareData(nu.order // group.order**2, trivial)
 
@@ -262,10 +263,9 @@ def tensor_upper_central(group: FiniteGroup, data: TensorSquareData, n: int) -> 
 def _pullback_series(group: FiniteGroup, data: TensorSquareData) -> tuple[SubgroupHandle, ...]:
     """[Z0 = 1, Z1 = Z-tensor, Z2, ...] up to stabilization (cached on the group).
 
-    For n >= 1, Z(n+1)-tensor is the preimage of Z_n(G / Z-tensor) under the
-    projection.  The preimage of Z_k(G/N) is {a : [a, g] lies in the preimage
-    of Z_(k-1)(G/N) for all g}, so the classical step, run in G from
-    Z-tensor, gives the series.
+    For n >= 1, Z(n+1)-tensor is the preimage of Z_n(G / Z-tensor), so the
+    classical step of ``upper_central_from``, run in G from Z-tensor, gives
+    the series.
     """
     return group.cached("tensor_ucs", lambda: upper_central_from(
         group, [trivial_subgroup(group), tensor_center(group, data)]

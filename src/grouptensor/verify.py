@@ -40,6 +40,7 @@ from .groups import (
     SubgroupHandle,
     all_subgroups,
     center,
+    centralizers,
     commutator_with_group,
     full_subgroup,
     nilpotency_class,
@@ -212,7 +213,7 @@ class EntryContext:
         return tensor_upper_central(self.group, self.tensor, 1)
 
     @cached_property
-    def centralizers(self) -> list[SubgroupHandle]:
+    def tensor_centralizers(self) -> list[SubgroupHandle]:
         """The tensor centralizer of every element, in element order."""
         return [tensor_centralizer(self.group, self.tensor, x) for x in self.group.elements()]
 
@@ -245,12 +246,12 @@ class EntryContext:
         return self._memo("comm", h.elements, lambda: rel_comm_degree(self.group, h))
 
     def d_inner(self, h: SubgroupHandle) -> Fraction:
-        """Commuting probability inside a subgroup, computed in the parent
-        table once per subgroup."""
-        mul, elems = self.group.mul, h.elements
-        return self._memo("d_inner", elems, lambda: Fraction(
-            sum(1 for a in elems for b in elems if mul[a][b] == mul[b][a]), h.order * h.order
-        ))
+        """Commuting probability inside H, once per H: the sizes |C_G(a) n H|."""
+        def make():
+            cent, mask = centralizers(self.group), sum(1 << a for a in h.elements)
+            return Fraction(sum((cent[a] & mask).bit_count() for a in h.elements), h.order**2)
+
+        return self._memo("d_inner", h.elements, make)
 
     def child(self, group: FiniteGroup) -> "EntryContext":
         """The context of a group built from this one, one per name and table."""
@@ -381,10 +382,11 @@ def _eval_thm_1_3(ctx: EntryContext, inst: dict) -> Finding:
 
 
 def _gen_lem_2_1(ctx: EntryContext) -> list[dict]:
-    mul, zt, out = ctx.group.mul, ctx.ztensor.elements, []
+    # H Z-tensor = G exactly when |H| |Z-tensor| / |H n Z-tensor| = |G|
+    zt, out = ctx.ztensor, []
     for h in all_subgroups(ctx.group):
         out.append({"subgroup": h, "variant": "index-bound"})
-        if len({mul[a][z] for a in h.elements for z in zt}) == ctx.group.order:
+        if h.order * zt.order == ctx.group.order * len(h._set & zt._set):
             out.append({"subgroup": h, "variant": "product-equality"})
     return out
 
@@ -395,7 +397,7 @@ def _eval_lem_2_1(ctx: EntryContext, inst: dict) -> Finding:
     # x is |H| [C : C n H] / |G|: the worst x, the first with the largest
     # ratio or the largest distance from 1, is found in integers
     index = ctx._memo("lem-2.1", h.elements, lambda: [
-        c.order // len(h._set & c._set) for c in ctx.centralizers
+        c.order // len(h._set & c._set) for c in ctx.tensor_centralizers
     ])
     if inst["variant"] == "index-bound":
         worst, relation = index.index(max(index)), "le"

@@ -4,9 +4,11 @@ enumeration, and the commutator distribution rebuilt from level 1 for each n.
 Also the element-wise group helpers the oracles and tests read, which the
 package itself does not need: the iterated commutator, the centralizer,
 normality by conjugating with every element, K = H / (H n Z) quotiented
-inside H, the center by the all-pairs scan, [H, G] from all |H| |G|
-commutators, the exponent, and Z-tensor from all rows of the triviality
-matrix."""
+inside H, the exponent, and Z-tensor from all rows of the triviality matrix.
+And the all-pairs forms of what the package reads from its centralizer
+table or from generators: the center, abelianness, d(H, G), the commuting
+probability inside a subgroup, the upper central step over every g, [H, G]
+from all |H| |G| commutators and [A, B] from all |A| |B|."""
 
 from fractions import Fraction
 from itertools import product
@@ -23,7 +25,7 @@ from grouptensor import (
     quotient,
     subgroup_generated,
 )
-from grouptensor.groups import subgroup_as_group
+from grouptensor.groups import full_subgroup, subgroup_as_group
 
 NAIVE_TUPLE_LIMIT = 10**7
 
@@ -53,11 +55,53 @@ def center_all_pairs(group: FiniteGroup) -> tuple[int, ...]:
     )
 
 
+def is_abelian_all_pairs(group: FiniteGroup) -> bool:
+    return len(center_all_pairs(group)) == group.order
+
+
+def rel_comm_degree_all_pairs(group: FiniteGroup, h: SubgroupHandle) -> Fraction:
+    """d(H, G): the pairs from H x G that commute, over |H| |G|."""
+    mul = group.mul
+    hits = sum(mul[a][b] == mul[b][a] for a in h.elements for b in group.elements())
+    return Fraction(hits, h.order * group.order)
+
+
+def d_inner_all_pairs(h: SubgroupHandle) -> Fraction:
+    """The commuting probability inside H: the pairs from H x H that commute."""
+    mul = h.parent.mul
+    hits = sum(mul[a][b] == mul[b][a] for a in h.elements for b in h.elements)
+    return Fraction(hits, h.order**2)
+
+
+def upper_central_from_all_g(
+    group: FiniteGroup, series: Sequence[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """``series`` extended by Z(i+1) = {a : [a, g] in Z(i) for every g in G}
+    until a step adds nothing."""
+    series = list(series)
+    while True:
+        prev = set(series[-1])
+        nxt = tuple(
+            a for a in group.elements()
+            if all(commutator(group, a, g) in prev for g in group.elements())
+        )
+        if nxt == series[-1]:
+            return series
+        series.append(nxt)
+
+
+def commutator_subgroup(
+    group: FiniteGroup, a: SubgroupHandle, b: SubgroupHandle
+) -> SubgroupHandle:
+    """Subgroup generated by all [x, y] with x in a, y in b."""
+    return subgroup_generated(
+        group, {commutator(group, x, y) for x in a.elements for y in b.elements}
+    )
+
+
 def commutator_with_group_all_pairs(group: FiniteGroup, h: SubgroupHandle) -> tuple[int, ...]:
     """[H, G]: the subgroup generated by [x, g] for every x in H and g in G."""
-    return subgroup_generated(
-        group, {commutator(group, x, g) for x in h.elements for g in group.elements()}
-    ).elements
+    return commutator_subgroup(group, h, full_subgroup(group)).elements
 
 
 def exponent(group: FiniteGroup) -> int:

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouptensor import (
+    Squares,
     SpecError,
     all_subgroups,
     center,
     commutator,
-    commutator_subgroup,
     conjugate,
     cyclic,
     derived_subgroup,
@@ -35,14 +35,22 @@ from grouptensor.groups import (
     relabeled,
     trivial_subgroup,
 )
-from grouptensor.verify import builtin_corpus
+from grouptensor.degrees import rel_comm_degree
+from grouptensor.tensor import _pullback_series
+from grouptensor.verify import Config, EntryContext, builtin_corpus
 from naive import (
     center_all_pairs,
     centralizer,
+    commutator_subgroup,
     commutator_with_group_all_pairs,
+    d_inner_all_pairs,
     exponent,
+    is_abelian_all_pairs,
     is_normal,
     iterated_commutator,
+    rel_comm_degree_all_pairs,
+    tensor_center_all_rows,
+    upper_central_from_all_g,
 )
 from test_cli import ORDER_64_CORPUS
 
@@ -327,6 +335,39 @@ def test_commutator_with_group_matches_all_pairs():
 @pytest.mark.parametrize("spec", ORDER_64_CORPUS)
 def test_commutator_with_group_matches_all_pairs_at_order_64(spec):
     _h_g_matches_all_pairs(group_from_spec(spec))
+
+
+def _commuting_readers_match_all_pairs(group, squares):
+    # each reader of the centralizer table, and each series stepped over
+    # generators, against its all-pairs form
+    data, full = squares(group), full_subgroup(group)
+    assert group.is_abelian() == is_abelian_all_pairs(group), group.name
+    assert derived_subgroup(group) == commutator_subgroup(group, full, full), group.name
+    assert [t.elements for t in upper_central_series(group)] == upper_central_from_all_g(
+        group, [(0,)]
+    ), group.name
+    assert [t.elements for t in _pullback_series(group, data)] == upper_central_from_all_g(
+        group, [(0,), tensor_center_all_rows(group, data)]
+    ), group.name
+    ctx = EntryContext(group.name, group, Config(), squares)
+    for h in all_subgroups(group):
+        assert rel_comm_degree(group, h) == rel_comm_degree_all_pairs(group, h), h.elements
+        assert ctx.d_inner(h) == d_inner_all_pairs(h), h.elements
+
+
+def test_commuting_readers_match_all_pairs():
+    rng, squares = random.Random(32), Squares()
+    for entry in builtin_corpus(24):
+        rest = list(range(1, entry.group.order))
+        rng.shuffle(rest)
+        for g in (entry.group, relabeled(entry.group, [0] + rest)):
+            _commuting_readers_match_all_pairs(g, squares)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", ORDER_64_CORPUS)
+def test_commuting_readers_match_all_pairs_at_order_64(spec):
+    _commuting_readers_match_all_pairs(group_from_spec(spec), Squares())
 
 
 def test_commutator_subgroup():

@@ -36,6 +36,7 @@ from grouptensor.verify import (
     CorpusEntry,
     EntryContext,
     _eval_lem_2_1,
+    _gen_lem_2_1,
     _holds,
     corpus_from_file,
     evaluate_entry,
@@ -696,7 +697,8 @@ def _lem_2_1_by_ratios(ctx, h, variant):
     Fraction per element x, as lem-2.1 chose them before its integer index."""
     group = ctx.group
     ratios = [
-        Fraction(h.order * c.order, len(h._set & c._set) * group.order) for c in ctx.centralizers
+        Fraction(h.order * c.order, len(h._set & c._set) * group.order)
+        for c in ctx.tensor_centralizers
     ]
     one = Fraction(1)
     if variant == "index-bound":
@@ -704,6 +706,21 @@ def _lem_2_1_by_ratios(ctx, h, variant):
     else:
         worst = max(range(len(ratios)), key=lambda x: (abs(ratios[x] - one), -x))
     return worst, ratios[worst]
+
+
+def test_lem_2_1_product_equality_is_the_product_set():
+    # H Z-tensor = G read from orders, against the set of products a z; the
+    # corpus has no nontrivial Z-tensor, so the center stands in for one too
+    squares = Squares()
+    for entry in builtin_corpus(24):
+        ctx = EntryContext(entry.spec, entry.group, Config(), squares)
+        for zt in (ctx.ztensor, center(ctx.group)):
+            ctx.ztensor, mul = zt, ctx.group.mul
+            assert [inst["subgroup"] for inst in _gen_lem_2_1(ctx)
+                    if inst["variant"] == "product-equality"] == [
+                h for h in all_subgroups(ctx.group)
+                if len({mul[a][z] for a in h.elements for z in zt.elements}) == ctx.group.order
+            ], (entry.spec, zt.order)
 
 
 @pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "A4", "S4"])
