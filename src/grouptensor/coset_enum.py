@@ -33,20 +33,24 @@ in the scan and in the row fill, and callers of ``rep``, ``merge`` among
 them, skip it for cosets that are union-find roots.  Inlining changes no
 step: the definitions, scans and coincidences are HLT's as described above.
 
-Rows are dense lists of column-count entries while enumerating, and coset c
-is row c + 1.  Row 0 is a sink whose entries are all 0: an undefined entry
-reads 0, and a trace that reaches the sink stays there, so closed relators
-are traced without an exception path and no live coset is ever row 0.  A
-processed dead coset gives up its row for one shared read-only row of -1
-entries, which holds no 0, so the table is complete exactly when no row after
-the sink holds a 0.  Each relator carries its inverse columns for the
-backward scan.  The completed table is compacted by renumbering the live
-rows through a list, without looking any entry up in the union-find: once
-the coincidence queue is empty, live rows point only at live cosets.  Every
-write pairs an entry ``alpha[col] = beta`` with its inverse entry
-``beta[col ^ 1] = alpha``, and writes go only to undefined entries, so the
-pairs stay intact.  Processing a dead coset walks its row and so clears every
-back-pointer to it, before its row is dropped.
+Rows are dense lists, one entry per kernel column, while enumerating.  A
+generator whose square is a relator, an involution, has one kernel column
+that is its own inverse, and its square is not scanned: ``colmap`` takes each
+table column to its kernel column and ``inverse[col]`` is a kernel column's
+inverse.  Coset c is row c + 1.  Row 0 is a sink whose entries are all 0: an
+undefined entry reads 0, and a trace that reaches the sink stays there, so
+closed relators are traced without an exception path and no live coset is
+ever row 0.  A processed dead coset gives up its row for one shared read-only
+row of -1 entries, which holds no 0, so the table is complete exactly when no
+row after the sink holds a 0.  Each relator carries its inverse columns for
+the backward scan.  The completed table is compacted by renumbering the live
+rows through a list, without looking any entry up in the union-find (once
+the coincidence queue is empty, live rows point only at live cosets), and
+expanded through ``colmap`` to two columns per generator, which
+``_verify_table`` checks.  Every write pairs an entry ``alpha[col] = beta``
+with its inverse entry ``beta[inverse[col]] = alpha``, and writes go only to
+undefined entries, so the pairs stay intact.  Processing a dead coset walks
+its row and so clears every back-pointer to it, before its row is dropped.
 
 So each closure check starts at the first row the previous one found
 incomplete: a row that was complete stays complete while it lives.  A
@@ -54,11 +58,11 @@ definition fills an entry or adds a row at the end.  A coincidence clears an
 entry of a live row alpha only where it points at the dead coset gamma being
 processed, and then records gamma's paired entry, ``gamma[col] = alpha``, at
 ``mu = rep(gamma)``.  Either it writes the pair ``mu[col] = alpha``,
-``alpha[col ^ 1] = mu``, which refills alpha's entry, or ``mu[col]`` is some
-coset beta and alpha merges with beta.  Then beta is not alpha, whose entry
-would pair with mu and not with gamma.  If alpha stays live, every other
+``alpha[inverse[col]] = mu``, which refills alpha's entry, or ``mu[col]`` is
+some coset beta and alpha merges with beta.  Then beta is not alpha, whose
+entry would pair with mu and not with gamma.  If alpha stays live, every other
 coset of its class, beta included, is processed before the queue empties,
-and ``beta[col ^ 1] = mu`` is written back at alpha the same way.
+and ``beta[inverse[col]] = mu`` is written back at alpha the same way.
 
 Words are sequences of signed 1-based generator numbers, ``+g`` for the
 generator ``g-1`` and ``-g`` for its inverse.
@@ -145,11 +149,10 @@ def todd_coxeter(
 
     Returns a completed, compacted, verified table, or a table whose status
     is ``exceeded-limit`` if more than ``max_cosets`` cosets would be live at
-    once.
+    once.  A generator whose square is a relator gets one self-inverse column.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
-    ncols = 2 * presentation.generator_count
     # duplicate relators add nothing to the enumeration; preserve first-seen order
     words = list(
         dict.fromkeys(
@@ -158,6 +161,18 @@ def todd_coxeter(
         )
     )
     subgroup = [tuple(_column(letter) for letter in word) for word in presentation.subgroup]
+    # an involution, its square a relator, gets one self-inverse kernel column
+    involutory = {w[0] // 2 for w in words if len(w) == 2 and w[0] == w[1]}
+    colmap, inverse = [], []  # kernel column of a table column; inverse of a kernel column
+    for g in range(presentation.generator_count):
+        k = len(inverse)
+        colmap += (k, k) if g in involutory else (k, k + 1)
+        inverse += (k,) if g in involutory else (k + 1, k)
+    ncols = len(inverse)
+
+    def kernel(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        word = tuple(colmap[col] for col in word)
+        return word, tuple(inverse[col] for col in word)
 
     # while enumerating, coset c is row c + 1 and row 0 is the sink
     table: list = [[0] * ncols, [0] * ncols]
@@ -167,7 +182,6 @@ def todd_coxeter(
     dead_row = (-1,) * ncols
     blank = [0] * ncols
     columns = range(ncols)
-    flipped = [col ^ 1 for col in columns]
 
     def rep(c: int) -> int:
         # callers look up a root themselves: most cosets they meet are roots
@@ -203,7 +217,7 @@ def todd_coxeter(
             row = table[gamma]
             table[gamma] = dead_row
             mu = rep(gamma)
-            for col, flip, delta in zip(columns, flipped, row):
+            for col, flip, delta in zip(columns, inverse, row):
                 if not delta:
                     continue
                 back = table[delta]
@@ -223,7 +237,7 @@ def todd_coxeter(
                     table[mu][col] = nu
                     table[nu][flip] = mu
 
-    def scan_and_fill(alpha: int, word: tuple[int, ...], inverse: tuple[int, ...]) -> None:
+    def scan_and_fill(alpha: int, word: tuple[int, ...], back: tuple[int, ...]) -> None:
         nonlocal live
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
@@ -235,7 +249,7 @@ def todd_coxeter(
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and (x := table[b][inverse[j]]):
+            while j >= i and (x := table[b][back[j]]):
                 b = x
                 j -= 1
             if j < i:
@@ -244,14 +258,14 @@ def todd_coxeter(
                 return
             if j == i:
                 table[f][word[i]] = b
-                table[b][inverse[i]] = f
+                table[b][back[i]] = f
                 return
             # define a new coset as the image of f under word[i]
             if live >= max_cosets:
                 raise _Overflow
             beta = len(table)
             row = blank.copy()
-            row[inverse[i]] = f
+            row[back[i]] = f
             table.append(row)
             parent.append(beta)
             table[f][word[i]] = beta
@@ -264,11 +278,12 @@ def todd_coxeter(
         renum = [0] * len(table)
         for new, old in enumerate(alive):
             renum[old] = new
+        expand = itemgetter(*colmap) if colmap else lambda row: ()
         return CosetTable(
             generator_count=presentation.generator_count,
             coset_count=len(alive),
             status=COMPLETED,
-            rows=tuple(tuple(map(renum.__getitem__, table[old])) for old in alive),
+            rows=tuple(tuple(map(renum.__getitem__, expand(table[old]))) for old in alive),
             defined=len(table) - 2,
             peak_live=max(peak, live),
             coincidences=len(table) - 1 - live,
@@ -294,11 +309,13 @@ def todd_coxeter(
             return None
         return result
 
-    relators = [(word, tuple(col ^ 1 for col in word)) for word in words]
+    # an involution's square closes by construction in its one column
+    relators = list(dict.fromkeys(kernel(w) for w in words
+                                  if len(w) != 2 or w[0] != w[1]))
     result = None
     try:
         for word in subgroup:
-            scan_and_fill(1, word, tuple(col ^ 1 for col in word))
+            scan_and_fill(1, *kernel(word))
         alpha = 1
         countdown = _CLOSURE_CHECK_MIN
         while result is None and alpha < len(table):
@@ -306,7 +323,7 @@ def todd_coxeter(
             if parent[alpha] != alpha:
                 alpha += 1
                 continue
-            for word, inverse in relators:
+            for word, back in relators:
                 # most scans find the relator already closed at alpha; an
                 # undefined entry leads to the sink, which is never alpha
                 f = alpha
@@ -314,13 +331,13 @@ def todd_coxeter(
                     f = table[f][col]
                 if f == alpha:
                     continue
-                scan_and_fill(alpha, word, inverse)
+                scan_and_fill(alpha, word, back)
                 if parent[alpha] != alpha:
                     break
             else:
                 # definitions never merge cosets, so alpha stays live here
                 row = table[alpha]
-                for col, flip, beta in zip(columns, flipped, row):
+                for col, flip, beta in zip(columns, inverse, row):
                     if not beta:
                         if live >= max_cosets:
                             raise _Overflow
@@ -364,10 +381,11 @@ def _verify_table(table: CosetTable, words: Sequence[tuple[int, ...]]) -> None:
     n = table.coset_count
     columns = list(zip(*table.rows))
     identity = tuple(range(n))
+    # each column is composed with its partner both ways, so is a permutation
     for col, column in enumerate(columns):
-        if sorted(column) != list(identity):
-            raise ConsistencyError("completed table column is not a permutation")
         if _compose(column, columns[col ^ 1]) != identity:
+            if len(set(column)) != n:
+                raise ConsistencyError("completed table column is not a permutation")
             raise ConsistencyError("completed table is not inverse-consistent")
     # each relator, longest first, is placed in a prefix tree as the rotation
     # of it or of its inverse that shares the longest prefix with those

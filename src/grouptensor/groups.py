@@ -86,7 +86,8 @@ class FiniteGroup:
         return self._cache[key]
 
     def is_abelian(self) -> bool:
-        return all(c.bit_count() == self.order for c in centralizers(self))
+        gens = generators(self)  # commuting is closed under products
+        return all(self.mul[x][y] == self.mul[y][x] for x in gens for y in gens)
 
     @classmethod
     def _known(

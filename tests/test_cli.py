@@ -67,11 +67,11 @@ def test_tensor(capsys):
 
 
 def test_tensor_stats_go_to_stderr_only(capsys):
-    # S3 enumerates nu(S3): 305 cosets defined, at most 197 live, 270 merged
+    # S3 enumerates nu(S3): 233 cosets defined, at most 151 live, 198 merged
     # away, 36 final
     for spec, stats in [
-        ("S3", r"stats: tensor square \d+\.\d{3} s, defined 305, peak live 197, "
-               r"coincidences 270, cosets 36\n"),
+        ("S3", r"stats: tensor square \d+\.\d{3} s, defined 233, peak live 151, "
+               r"coincidences 198, cosets 36\n"),
         ("C2xS3", r"stats: tensor square \d+\.\d{3} s, not enumerated\n"),
         ("D8", r"stats: tensor square \d+\.\d{3} s, not enumerated\n"),
     ]:

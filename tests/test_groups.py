@@ -313,6 +313,16 @@ def test_center_is_the_all_pairs_center():
             assert center(g).elements == center_all_pairs(g), entry.spec
 
 
+def test_is_abelian_is_the_all_pairs_answer():
+    # read on the generators alone, for the corpus and a relabelling of each
+    rng = random.Random(32)
+    for entry in builtin_corpus(24):
+        rest = list(range(1, entry.group.order))
+        rng.shuffle(rest)
+        for g in (entry.group, relabeled(entry.group, [0] + rest)):
+            assert g.is_abelian() == is_abelian_all_pairs(g), entry.spec
+
+
 def _h_g_matches_all_pairs(group):
     for h in all_subgroups(group):
         assert commutator_with_group(group, h).elements == commutator_with_group_all_pairs(
