@@ -571,11 +571,9 @@ def generating_set(group: FiniteGroup) -> tuple[int, ...]:
     The trivial group gets its identity.  Only the ties by least element
     read labels.  A5 gets a 5-cycle unit and a 3-cycle unit whose product
     is an involution: over relabelling seeds 0-39 its enumeration defines
-    36,712-39,740 cosets, at most 11,496-13,692 live.  Without the first
-    key, and with the crossed relators conjugated by all of S, it defined
-    31,477-56,240, at most 9,173-37,401 live.  Among the one- and two-term
-    specs up to order 64, the first key changes S only for A5 and for
-    direct products, which are squared through their factors.
+    36,712-39,740 cosets, at most 11,496-13,692 live.  Among the one- and
+    two-term specs up to order 64, the first key changes S only for A5 and
+    for direct products, which are squared through their factors.
     """
     if group.order == 1:
         return (0,)

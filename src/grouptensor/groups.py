@@ -54,9 +54,6 @@ class FiniteGroup:
         # in an associative Latin square with identity, right inverses are two-sided
         self.inv = tuple(row.index(0) for row in table)
 
-    # identity is pinned to index 0
-    identity = 0
-
     def power(self, a: int, k: int) -> int:
         if k < 0:
             return self.power(self.inv[a], -k)

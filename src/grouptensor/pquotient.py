@@ -15,14 +15,11 @@ Collection multiplies collected words: ``x a_i`` moves a_i left past the
 part of x above i, conjugating that part by a_i, and squares it away with
 ``power[i]`` if x already holds a_i.
 
-Class 1 is the quotient by the exponent sums of the relators mod 2.  The
-presentation generators whose columns stay free in the elimination become
-a_0, ..., a_(d-1), of weight 1, each defined as the image of its generator;
-the images of the others are words in them.
-
-The step from class c to class c + 1 forms the 2-cover.  Every relation that
-does not define a generator gets a tail, a new central generator of order 2:
-the image of each presentation generator, ``a_j^2``, and ``[a_j, a_i]`` where
+The quotient starts as the trivial group, of class 0, on no generators and
+with every image the identity, and each class is one step.  The step from
+class c to class c + 1 forms the 2-cover.  Every relation that does not
+define a generator gets a tail, a new central generator of order 2: the
+image of each presentation generator, ``a_j^2``, and ``[a_j, a_i]`` where
 wt(i) + wt(j) is at most c + 1 (a commutator of greater weight is trivial in
 the 2-cover).  The tails are the bits from n up, so an element of the cover
 is still one int.  The class-c quotient is consistent and satisfies every
@@ -40,7 +37,10 @@ quotients.  The tails left free by the elimination are the generators of
 weight c + 1.  Each is the tail of the square of a generator of weight c, or
 of its commutator with one of weight 1, since those relations span the new
 layer and are ordered last in the elimination; that relation becomes its
-definition.
+definition.  From class 0 there are no test words and the relator halves
+differ by the exponent sums of the relators mod 2, so the generators of
+weight 1 are the tails of the images left free by those sums, and the images
+of the other presentation generators are words in them.
 
 The loop stops at the class whose cover adds no generator.  The presentation
 is then consistent, so its group has order exactly 2^n, and every relator
@@ -87,27 +87,21 @@ def _letters(images: Sequence[int], mul: Callable[[int, int], int]) -> dict[int,
 
 
 def two_quotient(presentation: Presentation) -> PcQuotient:
-    """The largest 2-quotient of the presented group.
+    """The largest 2-quotient of the presented group: 2-covers of the trivial
+    quotient, one class each, until a cover adds no generator.
 
     The subgroup words play no part.  The largest 2-quotient must be finite,
     as it is for every finite group; otherwise the class loop never ends.
     """
-    relators = presentation.relators
-    sums = []
-    for word in relators:
-        v = 0
-        for letter in word:
-            v ^= 1 << (abs(letter) - 1)
-        sums.append(v)
-    free, images = _solve(_eliminate(sums), presentation.generator_count, 0)
-    # definitions[k]: the relation defining a_k, as ("x", g), ("p", j) or ("c", j, i)
-    definitions = [("x", g) for g in free]
-    n = len(free)
-    weight = [1] * n
-    power = [0] * n
-    conj = [[1 << j for j in range(n)] for _ in range(n)]
-    while n and (added := _cover(weight, definitions, power, conj, images, relators)):
-        n += added
+    # definitions: the relation defining each a_k, as ("x", g), ("p", j) or ("c", j, i)
+    weight: list[int] = []
+    definitions: set[tuple] = set()
+    power: list[int] = []
+    conj: list[list[int]] = []
+    images = [0] * presentation.generator_count
+    while _cover(weight, definitions, power, conj, images, presentation.relators):
+        pass
+    n = len(weight)
     return PcQuotient(n, tuple(images), _collector(n, power, conj))
 
 
@@ -163,26 +157,27 @@ def _substitute(v: int, index: dict[int, int]) -> int:
 
 def _cover(
     weight: list[int],
-    definitions: list[tuple],
+    definitions: set[tuple],
     power: list[int],
     conj: list[list[int]],
     images: list[int],
     relators: Sequence[Sequence[int]],
 ) -> int:
     """Extend the quotient by one class, in place; returns the number of
-    generators added, 0 if the 2-cover adds none."""
-    n, cls = len(weight), weight[-1]
-    defined = set(definitions)
+    generators added, 0 if the 2-cover adds none.  From the trivial quotient,
+    of class 0, the images are the relations that may define a generator."""
+    n = len(weight)
+    cls = weight[-1] if n else 0
     # relations with a tail: those that cannot define a generator come first,
     # so the elimination expresses them in the ones that can
-    low_keys = [("x", g) for g in range(len(images)) if ("x", g) not in defined]
-    candidates = []
+    image_keys = [("x", g) for g in range(len(images)) if ("x", g) not in definitions]
+    low_keys, candidates = (image_keys, []) if n else ([], image_keys)
     for j in range(n):
-        if ("p", j) not in defined:
+        if ("p", j) not in definitions:
             (candidates if weight[j] == cls else low_keys).append(("p", j))
     for j in range(n):
         for i in range(j):
-            if weight[i] + weight[j] > cls + 1 or ("c", j, i) in defined:
+            if weight[i] + weight[j] > cls + 1 or ("c", j, i) in definitions:
                 continue
             can_define = weight[j] == cls and weight[i] == 1
             (candidates if can_define else low_keys).append(("c", j, i))
@@ -224,7 +219,7 @@ def _cover(
     power.extend([0] * len(free))
     conj.extend([1 << k for k in range(m)] for _ in free)
     weight.extend([cls + 1] * len(free))
-    definitions.extend(keys[t] for t in free)
+    definitions.update(keys[t] for t in free)
     return len(free)
 
 
@@ -262,18 +257,18 @@ def _test_words(
 def _relator_halves(
     images: list[int], relators: Sequence[Sequence[int]], mul: Callable[[int, int], int]
 ) -> Iterable[tuple[int, int]]:
-    """For each relator u v, the values of u and of v^-1; prefixes are shared."""
+    """For each relator u v, the values of u and of v^-1; prefixes are shared,
+    as a tree whose nodes are (value, children by letter)."""
     letters = _letters(images, mul)
-    values: dict[tuple[int, ...], int] = {}
+    root: tuple[int, dict] = (0, {})
 
     def value(word: Sequence[int]) -> int:
-        v, prefix = 0, ()
+        v, children = root
         for a in word:
-            prefix += (a,)
-            known = values.get(prefix)
-            if known is None:
-                known = values[prefix] = mul(v, letters[a])
-            v = known
+            node = children.get(a)
+            if node is None:
+                node = children[a] = (mul(v, letters[a]), {})
+            v, children = node
         return v
 
     for word in relators:

@@ -8,18 +8,16 @@ indent, the standard encoder takes its pure-Python path, one small string per
 token.  The text is a flat list of pieces, one per field: its lead
 (``"    {\\n"`` or ``",\\n"``), key and value text.  A record's pieces come in
 two runs, where it is and what it found, and each distinct piece and run is
-made once per render.  ``json_text`` joins all the pieces once; ``write_json``
-hands a ``write`` callable one join of at most ``BATCH`` pieces at a time,
-and CSV and table text go to it a line at a time: ``verify`` never holds all
-the text.
+made once per render.  ``write_json`` hands a ``write`` callable one join of
+at most ``BATCH`` pieces at a time, and CSV and table text go to it a line at
+a time: ``verify`` never holds all the text.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -202,7 +200,3 @@ def _joined(writer: Callable, report: VerificationReport) -> str:
     texts: list[str] = []
     writer(report, texts.append)
     return "".join(texts)
-
-
-# to_json's text: every piece in one batch, joined once
-json_text = partial(_joined, partial(write_json, batch=sys.maxsize))

@@ -173,11 +173,14 @@ class TheoremCheck(NamedTuple):
 class EntryContext:
     """Shared artifacts for all checks on one corpus group, or on a quotient
     they read, named after its group.  ``child`` keeps one such quotient
-    context per name and table; the sharing is exact, as everything a
-    context computes (degrees, the tensor square with its centralizer sizes,
-    the tensor series from Z-tensor, the tensor class) is a function of its
-    table, and a ``LimitError`` note reads the name.  Children square in
-    their root's ``Squares`` session: the run's, or its own."""
+    context per name and table, and a group with the context's own table
+    gets the context itself; the sharing is exact, as everything a context
+    computes (degrees, the tensor square with its centralizer sizes, the
+    tensor series from Z-tensor, the tensor class) is a function of its
+    table.  A ``LimitError`` note reads the name, but a child that is the
+    context itself overflows only with it, and a root whose square overflows
+    skips every check that reads a square.  Children square in their root's
+    ``Squares`` session: the run's, or its own."""
 
     def __init__(self, spec: str, group: FiniteGroup, config: Config,
                  squares: Optional[Squares] = None) -> None:
@@ -254,13 +257,18 @@ class EntryContext:
         return self._memo("d_inner", h.elements, make)
 
     def child(self, group: FiniteGroup) -> "EntryContext":
-        """The context of a group built from this one, one per name and table."""
-        return self._memo("child", (group.name, group.table_key()),
+        """The context of a group built from this one, one per name and table;
+        a group with this one's table is this context."""
+        key = group.table_key()
+        if key == self.group.table_key():
+            return self
+        return self._memo("child", (group.name, key),
                           lambda: EntryContext(group.name, group, self.config, self.squares))
 
     def quotient(self, n: SubgroupHandle) -> tuple["EntryContext", tuple[int, ...]]:
         """The context of G/N and the projection onto it, once per N for every
-        reader; G/N's tensor square is enumerated only when read."""
+        reader; G/1 is this context.  G/N's tensor square is enumerated only
+        when read."""
 
         def make():
             q, proj = quotient(self.group, n)
@@ -696,8 +704,7 @@ class VerificationReport(NamedTuple):
 
     # the formats are in report.py, compiled on the first render, not at import
     def to_json(self) -> str:
-        from .report import json_text
-        return json_text(self)
+        return self.render("json")
 
     def render(self, fmt: str) -> str:
         from .report import WRITERS, _joined

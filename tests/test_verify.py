@@ -26,7 +26,14 @@ from grouptensor import (
 from grouptensor import tensor as tensor_module
 from grouptensor import verify as verify_module
 from grouptensor.degrees import format_decimal, format_fraction, rel_n_tensor_degree
-from grouptensor.groups import FiniteGroup, all_subgroups, center, full_subgroup, normal_subgroups
+from grouptensor.groups import (
+    FiniteGroup,
+    all_subgroups,
+    center,
+    full_subgroup,
+    normal_subgroups,
+    trivial_subgroup,
+)
 from grouptensor.report import write_json
 from grouptensor.tensor import Squares, tensor_class
 from grouptensor.verify import (
@@ -123,7 +130,15 @@ def test_quotients_with_one_table_share_one_context():
     assert len(quotients) == len(ks) == 1
     first = ctx.quotient(fours[0])[0]
     assert first.group.name == "E2^3/N4" and first.tensor.order == 2
-    assert ctx.k_quotient(twos[0]).group.name == "E2^3/N1<2>"
+    assert ctx.k_quotient(twos[0]).group.name == "E2^3<2>"
+
+
+def test_a_child_with_the_parents_table_is_the_parent():
+    # G/1 has G's table, and so has K = G / (G n Z-tensor) when Z-tensor = 1
+    ctx = EntryContext("D8", group_from_spec("D8"), Config())
+    assert ctx.ztensor.order == 1
+    assert ctx.quotient(trivial_subgroup(ctx.group))[0] is ctx
+    assert ctx.k_quotient(ctx.full) is ctx
 
 
 @pytest.mark.parametrize("spec", ["D8", "Q8", "D16", "Q16", "C2xD8", "D12", "C2xA4"])
@@ -200,9 +215,10 @@ def test_verify_on_e2_5_builds_one_context_per_name_and_table(monkeypatch):
     monkeypatch.setattr(EntryContext, "__init__", counting)
     g = group_from_spec("E2^5")
     run_suite([CorpusEntry("E2^5", g)], "all", Config(max_order=32))
-    # the root, G/N for |N| = 1..32 and K = H for |H| = 1..32
-    assert len(built) == 13
-    assert len(set(built)) == 13
+    # the root, which is also G/1 and K = G, G/N for |N| = 2..32 and K = H
+    # for |H| = 1..16
+    assert len(built) == 11
+    assert len(set(built)) == 11
 
 
 def test_normalize_check_ids():
